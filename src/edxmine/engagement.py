@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import datetime
+from itertools import groupby
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 import json
@@ -283,10 +285,20 @@ def problem_history(
     )
 
 
-def _event_order_key(ev: Event) -> tuple:
-    # Total order so that identical event multisets finalize identically
-    # no matter how shards were merged.
-    return (ev.timestamp, event_to_json(ev))
+_timestamp = attrgetter("timestamp")
+
+
+def _in_total_order(events: list[Event]) -> list[Event]:
+    """``events`` in (timestamp, canonical JSON) order, so identical event
+    multisets finalize identically no matter how shards were merged. Only
+    events that share a timestamp are serialized for the tie-break."""
+    out: list[Event] = []
+    for _, run in groupby(sorted(events, key=_timestamp), key=_timestamp):
+        tied = list(run)
+        if len(tied) > 1:
+            tied.sort(key=event_to_json)
+        out.extend(tied)
+    return out
 
 
 @dataclass
@@ -322,45 +334,29 @@ class StudentEvents:
         Deterministic: events are sorted by a total order and content ids
         are visited sorted, so merge order never changes the output.
         """
-        watch_records: dict[str, WatchRecord] = {}
+        n_videos = 0
+        fractions: list[float] = []
         for vid in sorted(self.video_events):
-            evs = sorted(self.video_events[vid], key=_event_order_key)
-            watch_records[vid] = reconstruct_intervals(evs)
+            evs = _in_total_order(self.video_events[vid])
+            if any(e.event_type is EventType.PLAY_VIDEO for e in evs):
+                n_videos += 1
+            fraction = reconstruct_intervals(evs).watch_fraction
+            if fraction is not None:
+                fractions.append(fraction)
 
-        problem_records: dict[str, ProblemRecord] = {}
+        # Built in sorted problem-id order, which every mean below relies on.
+        attempted: dict[str, ProblemRecord] = {}
         for pid in sorted(self.problem_events):
-            evs = sorted(self.problem_events[pid], key=_event_order_key)
-            problem_records[pid] = problem_history(
-                evs, passing_threshold, count_problem_graded
-            )
-
-        n_videos = sum(
-            1
-            for vid, evs in sorted(self.video_events.items())
-            if any(e.event_type is EventType.PLAY_VIDEO for e in evs)
-        )
-        attempted = {
-            pid: rec for pid, rec in problem_records.items() if rec.n_attempts > 0
-        }
+            evs = _in_total_order(self.problem_events[pid])
+            rec = problem_history(evs, passing_threshold, count_problem_graded)
+            if rec.n_attempts > 0:
+                attempted[pid] = rec
         n_problems = len(attempted)
         total_attempts = sum(rec.n_attempts for rec in attempted.values())
 
-        fractions = [
-            rec.watch_fraction
-            for _, rec in sorted(watch_records.items())
-            if rec.watch_fraction is not None
-        ]
-        score_rs = [rec.score_r for _, rec in sorted(attempted.items())]
-        firsts = [
-            rec.first_score
-            for _, rec in sorted(attempted.items())
-            if rec.first_score is not None
-        ]
-        finals = [
-            rec.final_score
-            for _, rec in sorted(attempted.items())
-            if rec.final_score is not None
-        ]
+        score_rs = [rec.score_r for rec in attempted.values()]
+        firsts = [rec.first_score for rec in attempted.values() if rec.first_score is not None]
+        finals = [rec.final_score for rec in attempted.values() if rec.final_score is not None]
 
         return StudentAggregate(
             user_id=self.user_id,
@@ -399,7 +395,7 @@ class StudentEvents:
 
         evaluable = 0
         studied_first = 0
-        for pid, rec in sorted(attempted.items()):
+        for pid, rec in attempted.items():
             section = manifest.section_of(pid)
             if section is None or not manifest.section_has_video(section):
                 continue

@@ -11,7 +11,9 @@ from __future__ import annotations
 import enum
 import gzip
 import json
+import math
 import re
+import zlib
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -239,17 +241,15 @@ def format_timestamp(ts: datetime) -> str:
 
 
 def _as_float(value) -> Optional[float]:
-    """Coerce a JSON number or numeric string to float; anything else is absent."""
-    if isinstance(value, bool):
+    """Coerce a JSON number or numeric string to a finite float; anything
+    else, NaN and the infinities included, is absent."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         return None
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
-        try:
-            return float(value)
-        except ValueError:
-            return None
-    return None
+    try:
+        num = float(value)
+    except (ValueError, OverflowError):
+        return None
+    return num if math.isfinite(num) else None
 
 
 def _nonneg(value) -> Optional[float]:
@@ -477,9 +477,14 @@ def open_log(path: Union[str, Path]) -> IO[bytes]:
 
 
 def iter_outcomes(path: Union[str, Path]) -> Iterator[ParseOutcome]:
+    """Parse every line of a log file. A gzip stream that ends early or is
+    corrupt raises :class:`gzip.BadGzipFile` naming the file."""
     with open_log(path) as handle:
-        for line in handle:
-            yield parse_line(line)
+        try:
+            for line in handle:
+                yield parse_line(line)
+        except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+            raise gzip.BadGzipFile(f"{path}: truncated or corrupt gzip data ({exc})") from exc
 
 
 def iter_events(

@@ -73,15 +73,17 @@ def encode_sequences(
     gap: timedelta = DEFAULT_GAP,
     collapse_runs: bool = False,
 ) -> tuple[list[SymbolSequence], SymbolAlphabet]:
-    """Turn parsed events into one symbol sequence per user or per session."""
+    """Turn parsed events into one symbol sequence per (user, course) or per
+    session."""
     if granularity not in ("per_user", "per_session"):
         raise ValueError(f"unknown granularity: {granularity!r}")
     alphabet = build_alphabet(split_check_outcome)
     codes = {name: i for i, name in enumerate(alphabet.names)}
 
-    by_user: dict[str, list[Event]] = {}
+    # One student in two course instances yields separate sequences.
+    by_student: dict[tuple[str, str], list[Event]] = {}
     for ev in events:
-        by_user.setdefault(ev.user_id, []).append(ev)
+        by_student.setdefault((ev.user_id, ev.course_id), []).append(ev)
 
     def symbol_for(ev: Event) -> int:
         name = ev.event_type.value
@@ -95,8 +97,8 @@ def encode_sequences(
         return codes[name]
 
     sequences: list[SymbolSequence] = []
-    for user_id in sorted(by_user):
-        user_events = sorted(by_user[user_id], key=lambda e: e.timestamp)
+    for user_id, course_id in sorted(by_student):
+        user_events = sorted(by_student[user_id, course_id], key=lambda e: e.timestamp)
         if granularity == "per_user":
             groups = [(user_id, user_events)]
         else:

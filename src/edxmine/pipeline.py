@@ -374,15 +374,15 @@ def run_pipeline(
     )
 
 
-def read_classifications(path: Union[str, Path]) -> dict[str, str]:
-    """user_id -> class name from a pipeline classifications.csv."""
+def read_classifications(path: Union[str, Path]) -> dict[tuple[str, str], str]:
+    """(user_id, course_id) -> class name from a pipeline classifications.csv."""
     path = Path(path)
     if not path.exists():
         raise InputError(f"classifications file not found: {path}")
-    out: dict[str, str] = {}
+    out: dict[tuple[str, str], str] = {}
     with open(path, "r", encoding="utf-8", newline="") as handle:
         for row in csv.DictReader(handle):
-            out[row["user_id"]] = row["class"]
+            out[(row["user_id"], row["course_id"])] = row["class"]
     return out
 
 
@@ -417,8 +417,14 @@ def run_mining(
     else:
         selected = list(CLASS_NAMES)
 
-    user_classes = read_classifications(classifications_path)
+    student_classes = read_classifications(classifications_path)
     _, events, _ = parse_log_files(log_paths, workers)
+    events_by_class: dict[str, list[Event]] = {name: [] for name in selected}
+    for ev in events:
+        bucket = events_by_class.get(student_classes.get((ev.user_id, ev.course_id)))
+        if bucket is not None:
+            bucket.append(ev)
+    del events
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -434,9 +440,8 @@ def run_mining(
     results: dict[str, MiningResult] = {}
     alphabet = None
     for name in selected:
-        class_events = [ev for ev in events if user_classes.get(ev.user_id) == name]
         sequences, alphabet = encode_sequences(
-            class_events,
+            events_by_class[name],
             granularity=granularity,
             split_check_outcome=split_check_outcome,
             passing_threshold=run.passing_threshold,

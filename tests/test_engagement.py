@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
+from itertools import chain
 
 import numpy as np
 import pytest
 
+import edxmine.engagement as engagement
 from edxmine.engagement import (
     NoAttemptsError,
     StudentAggregate,
@@ -17,7 +20,7 @@ from edxmine.engagement import (
     score_r,
     union_intervals,
 )
-from edxmine.events import EventType, VideoPayload
+from edxmine.events import EventType, VideoPayload, event_to_json
 from edxmine.manifest import parse_manifest
 from conftest import at, problem_event, random_video_events, video_event
 
@@ -449,11 +452,48 @@ def random_corpus(rng: random.Random, n_users: int = 8) -> list:
     return events
 
 
+def tie_corpus(rng: random.Random, n_users: int = 3) -> list:
+    """Streams where several events share one millisecond, so only the
+    canonical-JSON tie-break decides their order."""
+    events = []
+    for u in range(n_users):
+        user = f"user{u}"
+        events += [
+            video_event("play_video", t=0, user=user, duration=100.0, current_time=0.0),
+            # play and pause at the same millisecond
+            video_event("pause_video", t=10, user=user, current_time=10.0),
+            video_event("play_video", t=10, user=user, current_time=10.0),
+            # a seek and a play sharing a timestamp
+            video_event("seek_video", t=20, user=user, old_time=20.0, new_time=50.0),
+            video_event("play_video", t=20, user=user, current_time=50.0),
+            video_event("pause_video", t=30 + u, user=user, current_time=60.0 + u),
+            video_event("play_video", t=3, video="v2", user=user, duration=50.0,
+                        current_time=5.0),
+            video_event("pause_video", t=3, video="v2", user=user, current_time=25.0),
+            # a duplicated problem_check among other attempts at one instant
+            problem_event("problem_check", t=5, user=user, grade=0.5, max_grade=1),
+            problem_event("problem_check", t=5, user=user, grade=0.5, max_grade=1),
+            problem_event("problem_check", t=5, user=user, grade=1, max_grade=1),
+            problem_event("problem_check_fail", t=5, user=user),
+            problem_event("problem_show", t=7, problem="p2", user=user),
+            problem_event("problem_check", t=7, problem="p2", user=user, grade=0, max_grade=1),
+            problem_event("problem_check", t=9, problem="p2", user=user, grade=1, max_grade=1),
+        ]
+    rng.shuffle(events)
+    return events
+
+
+def _tied(stream) -> list:
+    """Events of one stream whose timestamp another event shares."""
+    counts = Counter(ev.timestamp for ev in stream)
+    return [ev for ev in stream if counts[ev.timestamp] > 1]
+
+
 class TestMergeOrderIndependence:
     def test_sharded_equals_single_pass(self):
         rng = random.Random(2024)
-        for trial in range(30):
-            events = random_corpus(rng)
+        corpora = chain((random_corpus(rng) for _ in range(30)), [tie_corpus(rng)])
+        for events in corpora:
             single = aggregate_corpus(events)
             baseline = "\n".join(a.to_json() for a in single)
             for k in (2, 4, 8):
@@ -471,9 +511,37 @@ class TestMergeOrderIndependence:
 
     def test_shuffled_input_same_aggregate(self):
         rng = random.Random(7)
-        events = random_corpus(rng, n_users=3)
-        base = {a.user_id: a for a in aggregate_corpus(events)}
-        for _ in range(5):
-            rng.shuffle(events)
-            again = {a.user_id: a for a in aggregate_corpus(events)}
-            assert again == base
+        for events in (random_corpus(rng, n_users=3), tie_corpus(random.Random(11))):
+            base = {a.user_id: a for a in aggregate_corpus(events)}
+            for _ in range(5):
+                rng.shuffle(events)
+                again = {a.user_id: a for a in aggregate_corpus(events)}
+                assert again == base
+
+    def test_ties_broken_by_canonical_json(self, monkeypatch):
+        # Streams reach the reducers in (timestamp, canonical JSON) order,
+        # and only events that share a timestamp are serialized.
+        streams: list = []
+        for name in ("reconstruct_intervals", "problem_history"):
+            reducer = getattr(engagement, name)
+
+            def recording(evs, *args, _reducer=reducer, **kwargs):
+                streams.append(list(evs))
+                return _reducer(evs, *args, **kwargs)
+
+            monkeypatch.setattr(engagement, name, recording)
+        serialized: list = []
+
+        def counting(ev):
+            serialized.append(ev)
+            return event_to_json(ev)
+
+        monkeypatch.setattr(engagement, "event_to_json", counting)
+        rng = random.Random(5)
+        aggregate_corpus(tie_corpus(rng) + random_corpus(rng))
+
+        for stream in streams:
+            assert stream == sorted(stream, key=lambda e: (e.timestamp, event_to_json(e)))
+        tied = [ev for stream in streams for ev in _tied(stream)]
+        assert len(tied) > 0
+        assert len(serialized) == len(tied)

@@ -4,7 +4,10 @@ import gzip
 import json
 import random
 import string
+import zlib
 from datetime import datetime, timezone
+
+import pytest
 
 from edxmine.events import (
     RETAINED_EVENT_TYPES,
@@ -157,6 +160,33 @@ class TestParseLine:
         ev = parse_line(raw_line(event={"id": "v1", "duration": -3}))
         assert ev.payload.duration is None
 
+    @pytest.mark.parametrize(
+        "value",
+        [float("inf"), "Infinity", "inf", 10**400],
+        ids=["json-infinity", "string-infinity", "string-inf", "int-beyond-float"],
+    )
+    def test_non_finite_numbers_absent(self, value):
+        video = parse_line(
+            raw_line(event={"id": "v1", "duration": value, "currentTime": value})
+        )
+        assert video.payload.duration is None
+        assert video.payload.current_time is None
+        seek = parse_line(
+            raw_line(name="seek_video", event={"id": "v1", "old_time": value, "new_time": value})
+        )
+        assert seek.payload.old_time is None
+        assert seek.payload.new_time is None
+        speed = parse_line(raw_line(name="speed_change", event={"id": "v1", "new_speed": value}))
+        assert speed.payload.new_speed is None
+        check = parse_line(
+            raw_line(
+                name="problem_check",
+                event={"problem_id": "p1", "grade": value, "max_grade": value},
+            )
+        )
+        assert check.payload.grade is None
+        assert check.payload.max_grade is None
+
     def test_missing_org_defaults_empty(self):
         record = json.loads(raw_line())
         del record["context"]["org_id"]
@@ -279,3 +309,27 @@ class TestFileReading:
         assert from_plain == from_gz
         assert stats_plain == stats_gz
         assert stats_plain.retained == 4
+
+    def _half_gzip(self, tmp_path):
+        gz = tmp_path / "events.log.gz"
+        lines = [raw_line(user=f"u{i}", time=f"2021-08-26T00:{i // 60:02d}:{i % 60:02d}.000Z")
+                 for i in range(2000)]
+        data = gzip.compress(("\n".join(lines) + "\n").encode())
+        return gz, data
+
+    def test_truncated_gzip_names_file(self, tmp_path):
+        gz, data = self._half_gzip(tmp_path)
+        gz.write_bytes(data[: len(data) // 2])
+        with pytest.raises(gzip.BadGzipFile, match="events.log.gz") as exc:
+            list(iter_events(gz, ParseStats()))
+        assert isinstance(exc.value, OSError)
+        assert isinstance(exc.value.__cause__, EOFError)
+
+    def test_corrupt_gzip_names_file(self, tmp_path):
+        gz, data = self._half_gzip(tmp_path)
+        middle = len(data) // 2
+        gz.write_bytes(data[:middle] + bytes(b ^ 0xFF for b in data[middle:middle + 64])
+                       + data[middle + 64:])
+        with pytest.raises(gzip.BadGzipFile, match="events.log.gz") as exc:
+            list(iter_events(gz, ParseStats()))
+        assert isinstance(exc.value.__cause__, (zlib.error, EOFError, gzip.BadGzipFile))

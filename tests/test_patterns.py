@@ -159,6 +159,20 @@ class TestEncodeSequences:
         assert len(per_user[0].symbols) == 2
         assert len(per_session) == 2
 
+    @pytest.mark.parametrize("granularity", ["per_user", "per_session"])
+    def test_course_instances_not_spliced(self, granularity):
+        events = [
+            bare_event("problem_show", t=0, course="c1", session="s1"),
+            video_event("play_video", t=5, course="c2", session="s1"),
+            bare_event("problem_show", t=10, course="c1", session="s1"),
+            video_event("pause_video", t=15, course="c2", session="s1"),
+        ]
+        sequences, alphabet = encode_sequences(events, granularity=granularity)
+        assert [alphabet.render(s.symbols) for s in sequences] == [
+            "problem_show>problem_show",
+            "play_video>pause_video",
+        ]
+
     def test_collapse_runs(self):
         events = [bare_event("problem_show", t=i) for i in range(4)]
         kept, _ = encode_sequences(events)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import gzip
 import json
 from datetime import date
 
@@ -155,7 +156,8 @@ class TestRunPipeline:
         classified = read_classifications(result.files["classifications"])
         with open(small_corpus["labels"], newline="") as handle:
             truth = {row["user_id"]: row["class"] for row in csv.DictReader(handle)}
-        assert classified == truth
+        course_id = small_corpus["spec"].manifest.course_id
+        assert classified == {(user, course_id): name for user, name in truth.items()}
 
         # The aggregate rows read back into the same objects they came from.
         from edxmine.engagement import StudentAggregate
@@ -228,6 +230,37 @@ class TestMining:
         assert set(files) == {"patterns_studier", "patterns_at_risk", "contrast"}
         header = (out / "patterns_studier.csv").read_text().splitlines()[0]
         assert header == "pattern,support,relative_support,class"
+
+    def test_multi_course_students_mined_per_instance(self, small_corpus, tmp_path):
+        # The same students enrolled in a second course instance: each
+        # (user, course) pair is its own per-user sequence.
+        second = []
+        for line in small_corpus["corpus"].lines:
+            record = json.loads(line)
+            record["context"]["course_id"] += "-rerun"
+            second.append(json.dumps(record))
+        log = tmp_path / "two_courses.log"
+        log.write_text("\n".join(list(small_corpus["corpus"].lines) + second) + "\n")
+        run = load_run_manifest(small_corpus["run_config"])
+        out = tmp_path / "out"
+        run_pipeline(run, [log], out)
+
+        with open(out / "classifications.csv", newline="") as handle:
+            instances = [
+                (row["user_id"], row["course_id"])
+                for row in csv.DictReader(handle)
+                if row["class"] == "high_engagement"
+            ]
+        assert len(instances) == 2 * len({user for user, _ in instances}) == 8
+
+        run_mining(
+            run, [log], out / "classifications.csv", out,
+            class_names=["high_engagement"], min_support=1, max_len=1,
+            granularity="per_user",
+        )
+        with open(out / "patterns_high_engagement.csv", newline="") as handle:
+            top = max(csv.DictReader(handle), key=lambda row: int(row["support"]))
+        assert round(int(top["support"]) / float(top["relative_support"])) == len(instances)
 
     def test_unknown_class_listed(self, small_corpus, tmp_path):
         run = load_run_manifest(small_corpus["run_config"])
@@ -322,6 +355,53 @@ class TestCli:
         )
         assert code == 2
         assert not out.exists()
+
+    def test_non_finite_grade_writes_strict_json(self, tmp_path, capsys):
+        log = tmp_path / "events.log"
+        log.write_text(
+            raw_line(
+                name="problem_check",
+                event={"problem_id": "p1", "grade": float("inf"), "max_grade": float("inf")},
+            )
+            + "\n"
+        )
+        assert "Infinity" in log.read_text()
+        out = tmp_path / "out"
+        assert main(["pipeline", str(log), "--out", str(out)]) == 0
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        lines = (out / "aggregates.jsonl").read_text().splitlines()
+        assert len(lines) == 1
+        agg = json.loads(lines[0], parse_constant=reject)
+        assert agg["n_problems"] == 1
+        assert agg["total_attempts"] == 1
+        assert agg["mean_score_r"] == 4.0  # an unscored final never passes
+        assert "mean_first_score" not in agg
+        assert "mean_final_score" not in agg
+
+    @pytest.mark.parametrize("command", ["validate", "pipeline", "mine"])
+    def test_truncated_gzip_exits_two(self, small_corpus, tmp_path, capsys, command):
+        gz = tmp_path / "events.log.gz"
+        data = gzip.compress(small_corpus["events"].read_bytes())
+        gz.write_bytes(data[: len(data) // 2])
+        out = tmp_path / "out"
+        argv = [command, str(gz)]
+        if command != "validate":
+            argv += ["--out", str(out)]
+        if command == "mine":
+            out.mkdir()
+            (out / "classifications.csv").write_text("user_id,course_id,cohort,class\n")
+        before = sorted(out.glob("*"))
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"edxmine: error: {gz}: ")
+        assert len(captured.err.splitlines()) == 1
+        assert "Traceback" not in captured.err
+        assert sorted(out.glob("*")) == before
+        assert out.exists() == (command == "mine")
 
     def test_pipeline_and_mine_commands(self, small_corpus, tmp_path, capsys):
         out = tmp_path / "out"
