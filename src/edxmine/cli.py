@@ -7,6 +7,7 @@ Subcommands: validate, pipeline, mine, synth. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import traceback
 from datetime import timedelta
@@ -38,6 +39,26 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _max_len(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _min_support(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not math.isfinite(value) or value <= 0:
+        raise argparse.ArgumentTypeError(f"must be finite and greater than 0, got {text}")
+    return value
 
 
 def _stats_line(label: str, stats: ParseStats) -> str:
@@ -161,9 +182,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_mine.add_argument("--manifest", help="course manifest JSON (when no run config)")
     p_mine.add_argument("--class", dest="classes", default=None,
                         help="comma-separated class names (default: all)")
-    p_mine.add_argument("--min-support", type=float, default=0.05,
+    p_mine.add_argument("--min-support", type=_min_support, default=0.05,
                         help="absolute count, or fraction of sequences when < 1")
-    p_mine.add_argument("--max-len", type=int, default=6)
+    p_mine.add_argument("--max-len", type=_max_len, default=6,
+                        help="longest pattern mined, at least 1 (default 6)")
     gran = p_mine.add_mutually_exclusive_group()
     gran.add_argument("--per-session", dest="per_user", action="store_false",
                       help="one sequence per session (default)")

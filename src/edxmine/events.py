@@ -327,7 +327,8 @@ def parse_line(text: Union[str, bytes]) -> ParseOutcome:
     """
     try:
         obj = json.loads(text)
-    except (ValueError, UnicodeDecodeError):
+    except (ValueError, UnicodeDecodeError, RecursionError):
+        # RecursionError: nesting deeper than the decoder's stack allows.
         return Malformed("invalid json")
     if not isinstance(obj, dict):
         return Malformed("not an object")
@@ -374,7 +375,7 @@ def parse_line(text: Union[str, bytes]) -> ParseOutcome:
         # Nested payloads sometimes arrive JSON-encoded; re-parse once.
         try:
             raw_payload = json.loads(raw_payload)
-        except ValueError:
+        except (ValueError, RecursionError):
             raw_payload = None
     payload: Optional[Payload] = None
     if isinstance(raw_payload, dict):

@@ -2,9 +2,13 @@
 
 Sequences are per-user or per-session streams of event-type symbols.
 Patterns are counted by subsequence containment (not necessarily
-contiguous), one count per containing sequence. The miner grows patterns
-depth-first over projected databases kept as per-sequence suffix offsets;
-input sequences are never copied.
+contiguous), one count per containing sequence. Before the search, each
+(sequence, offset) suffix gets one integer id and a table, built once
+backwards over the sequence, of (symbol, id of the suffix after that
+symbol's first position) for each distinct symbol in it. The miner grows
+patterns depth-first over projected databases kept as lists of suffix ids,
+so projecting a suffix reads at most one pair per alphabet symbol instead of
+scanning it; input sequences are never copied.
 """
 
 from __future__ import annotations
@@ -128,22 +132,36 @@ def prefixspan(
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
 
-    db = [seq.symbols for seq in sequences]
+    # Suffix seq[offset:] has id base + offset, the empty suffix included.
+    # first_next[id] pairs each distinct symbol of that suffix with the id of
+    # the suffix that follows the symbol's first position.
+    first_next: list[tuple[tuple[int, int], ...]] = []
+    starts: list[int] = []
+    n_symbols = 0
+    for seq in sequences:
+        symbols = seq.symbols
+        base = len(first_next)
+        starts.append(base)
+        first_next.extend([()] * (len(symbols) + 1))
+        first: dict[int, tuple[int, int]] = {}
+        for offset in range(len(symbols) - 1, -1, -1):
+            sym = symbols[offset]
+            first[sym] = (sym, base + offset + 1)
+            first_next[base + offset] = tuple(first.values())
+        if first:
+            n_symbols = max(n_symbols, max(first) + 1)
+
     found: list[SequencePattern] = []
 
-    def grow(projection: list[tuple[int, int]], prefix: tuple[int, ...]) -> None:
-        # First occurrence of each symbol per projected suffix.
-        occurrences: dict[int, list[tuple[int, int]]] = {}
-        for seq_idx, offset in projection:
-            seq = db[seq_idx]
-            seen: set[int] = set()
-            for pos in range(offset, len(seq)):
-                sym = seq[pos]
-                if sym not in seen:
-                    seen.add(sym)
-                    occurrences.setdefault(sym, []).append((seq_idx, pos + 1))
-        for sym in sorted(occurrences):
-            postings = occurrences[sym]
+    def grow(projection: list[int], prefix: tuple[int, ...]) -> None:
+        # A suffix id belongs to one sequence, so each posting list counts
+        # distinct sequences.
+        postings_by_symbol: list[list[int]] = [[] for _ in range(n_symbols)]
+        appends = [postings.append for postings in postings_by_symbol]
+        for suffix in projection:
+            for sym, next_suffix in first_next[suffix]:
+                appends[sym](next_suffix)
+        for sym, postings in enumerate(postings_by_symbol):
             support = len(postings)
             if support < min_support:
                 continue
@@ -152,7 +170,7 @@ def prefixspan(
             if len(pattern) < max_len:
                 grow(postings, pattern)
 
-    grow([(i, 0) for i in range(len(db))], ())
+    grow(starts, ())
     found.sort(key=lambda p: (len(p.symbols), p.symbols))
     return found
 
@@ -164,12 +182,6 @@ class MiningResult:
     patterns: tuple[SequencePattern, ...]
     n_sequences: int
     params: Mapping
-
-    def relative_support(self, symbols: tuple[int, ...]) -> float:
-        for pattern in self.patterns:
-            if pattern.symbols == symbols:
-                return pattern.support / self.n_sequences if self.n_sequences else 0.0
-        return 0.0
 
 
 def mine(

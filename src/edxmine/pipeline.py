@@ -413,7 +413,7 @@ def run_mining(
             raise InputError(
                 f"unknown class name(s) {unknown}; valid names: {', '.join(CLASS_NAMES)}"
             )
-        selected = list(class_names)
+        selected = list(dict.fromkeys(class_names))
     else:
         selected = list(CLASS_NAMES)
 
@@ -436,18 +436,24 @@ def run_mining(
         "collapse_runs": collapse_runs,
     }
 
-    files = {}
-    results: dict[str, MiningResult] = {}
+    # Encode every class before mining any, so the parsed events are freed
+    # before the miner builds its suffix tables.
+    sequences_by_class = {}
     alphabet = None
     for name in selected:
-        sequences, alphabet = encode_sequences(
-            events_by_class[name],
+        sequences_by_class[name], alphabet = encode_sequences(
+            events_by_class.pop(name),
             granularity=granularity,
             split_check_outcome=split_check_outcome,
             passing_threshold=run.passing_threshold,
             gap=run.gap,
             collapse_runs=collapse_runs,
         )
+
+    files = {}
+    results: dict[str, MiningResult] = {}
+    for name in selected:
+        sequences = sequences_by_class.pop(name)
         support = resolve_min_support(min_support, len(sequences))
         result = mine(sequences, support, max_len, params=params)
         results[name] = result

@@ -75,6 +75,16 @@ class TestParseLine:
         assert isinstance(parse_line(b"\xff\xfe"), Malformed)
         assert isinstance(parse_line('"just a string"'), Malformed)
 
+    def test_deep_nesting_malformed(self):
+        deep = "[" * 100_000
+        assert parse_line(deep) == Malformed("invalid json")
+        assert parse_line(deep.encode()) == Malformed("invalid json")
+
+    def test_deeply_nested_string_payload_tolerated(self):
+        ev = parse_line(raw_line(name="problem_check", event="[" * 100_000))
+        assert isinstance(ev, Event)
+        assert ev.payload is None
+
     def test_unretained_name_filtered(self):
         line = raw_line(name="edx.course.enrollment.activated")
         outcome = parse_line(line)

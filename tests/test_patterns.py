@@ -94,6 +94,42 @@ class TestPrefixSpan:
                 sequences, min_support, max_len
             )
 
+    @pytest.mark.parametrize("n_symbols", [16, 17])
+    def test_long_sequences_over_full_alphabet(self, n_symbols):
+        """Supports match a direct recount, and no frequent one-symbol
+        extension of the empty prefix or of a reported pattern is missing."""
+        rng = random.Random(n_symbols)
+
+        def runs(length):
+            out = []
+            while len(out) < length:
+                out += [rng.randrange(n_symbols)] * rng.randint(3, 20)
+            return out[:length]
+
+        uniform = [[rng.randrange(n_symbols) for _ in range(rng.randint(40, 110))] for _ in range(10)]
+        single_runs = [runs(rng.randint(40, 110)) for _ in range(10)]
+        mixed = [[rng.randrange(n_symbols)] for _ in range(6)] + single_runs[:3] + uniform[:3]
+        for corpus, min_support, max_len in [
+            (uniform, 9, 3),
+            (single_runs, 2, 4),
+            (mixed, 2, 3),
+        ]:
+            sequences = seqs(*corpus)
+            mined = prefixspan(sequences, min_support, max_len)
+            supports = {p.symbols: p.support for p in mined}
+            assert len(supports) == len(mined)
+
+            def direct(pattern):
+                return sum(1 for s in sequences if is_subsequence(pattern, s.symbols))
+
+            for pattern, support in supports.items():
+                assert direct(pattern) == support
+            for prefix in [()] + [p for p in supports if len(p) < max_len]:
+                for sym in range(n_symbols):
+                    extension = prefix + (sym,)
+                    if extension not in supports:
+                        assert direct(extension) < min_support
+
     def test_anti_monotonic_prefix_support(self):
         rng = random.Random(8)
         sequences = seqs(

@@ -223,7 +223,7 @@ class TestMining:
             [small_corpus["events"]],
             out / "classifications.csv",
             out,
-            class_names=["studier", "at_risk"],
+            class_names=["studier", "at_risk", "studier"],  # a repeat is mined once
             min_support=0.5,
             max_len=3,
         )
@@ -327,10 +327,42 @@ class TestCli:
         assert main(["validate", str(log)]) == 0
         assert "malformed=1" in capsys.readouterr().out
 
+    def test_validate_deep_nesting_counted_malformed(self, tmp_path, capsys):
+        log = tmp_path / "events.log"
+        log.write_text(raw_line() + "\n" + "[" * 100_000 + "\n")
+        assert main(["validate", str(log)]) == 0
+        out = capsys.readouterr().out
+        assert "lines_read=2 " in out
+        assert "retained=1 malformed=1 " in out
+
     def test_usage_error_exits_one(self):
         with pytest.raises(SystemExit) as exc:
             main(["pipeline"])  # missing required --out and logs
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            "--max-len=0",
+            "--max-len=-2",
+            "--min-support=nan",
+            "--min-support=inf",
+            "--min-support=-inf",
+            "--min-support=-1",
+            "--min-support=0",
+        ],
+    )
+    def test_mine_bad_arguments_exit_one(self, small_corpus, tmp_path, capsys, flag):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "classifications.csv").write_text("user_id,course_id,cohort,class\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["mine", str(small_corpus["events"]), "--out", str(out), flag])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert flag.split("=")[0] in err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in out.iterdir()) == ["classifications.csv"]
 
     def test_pipeline_bad_config_writes_nothing(self, small_corpus, tmp_path, capsys):
         bad = tmp_path / "run.json"
