@@ -33,7 +33,6 @@ from .manifest import (
     CourseManifest,
     content_counts,
     load_manifest,
-    locate_block,
 )
 from .patterns import encode_sequences, mine, prefixspan
 from .pipeline import RunManifest, run_pipeline
@@ -71,7 +70,6 @@ __all__ = [
     "generate_corpus",
     "iter_events",
     "load_manifest",
-    "locate_block",
     "mine",
     "parse_line",
     "prefixspan",

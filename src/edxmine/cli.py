@@ -10,9 +10,8 @@ import argparse
 import math
 import sys
 import traceback
-from datetime import timedelta
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from .engagement import DEFAULT_PASSING_THRESHOLD
 from .events import ParseStats
@@ -20,6 +19,8 @@ from .manifest import ManifestError, load_manifest
 from .pipeline import (
     InputError,
     RunManifest,
+    checked_gap,
+    checked_passing_threshold,
     load_run_manifest,
     run_mining,
     run_pipeline,
@@ -61,6 +62,23 @@ def _min_support(text: str) -> float:
     return value
 
 
+def _number_then(check: Callable):
+    """An argparse type: the text as a float, then ``check`` on it, the same
+    check the run config applies."""
+
+    def convert(text: str):
+        try:
+            return check(float(text))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+
+    return convert
+
+
+_gap = _number_then(checked_gap)
+_threshold = _number_then(checked_passing_threshold)
+
+
 def _stats_line(label: str, stats: ParseStats) -> str:
     return (
         f"{label}: lines_read={stats.lines_read} parsed={stats.parsed} "
@@ -70,7 +88,7 @@ def _stats_line(label: str, stats: ParseStats) -> str:
 
 
 def cmd_validate(args) -> int:
-    total, per_file = validate_files(args.logs, workers=args.workers)
+    total, per_file = validate_files(args.logs)
     for name, stats in per_file:
         print(_stats_line(name, stats))
     print(_stats_line("TOTAL", total))
@@ -83,9 +101,9 @@ def _load_run(args) -> RunManifest:
     else:
         manifest = load_manifest(args.manifest) if args.manifest else None
         run = RunManifest(manifest=manifest)
-    if getattr(args, "gap_minutes", None) is not None:
-        run.gap = timedelta(minutes=args.gap_minutes)
-    if getattr(args, "passing_threshold", None) is not None:
+    if args.gap is not None:
+        run.gap = args.gap
+    if args.passing_threshold is not None:
         run.passing_threshold = args.passing_threshold
     return run
 
@@ -97,7 +115,6 @@ def cmd_pipeline(args) -> int:
         args.logs,
         args.out,
         fmt=args.format,
-        workers=args.workers,
         exclude_no_show=args.exclude_no_show,
     )
     print(_stats_line("parsed", result.parse_stats))
@@ -124,7 +141,6 @@ def cmd_mine(args) -> int:
         granularity="per_user" if args.per_user else "per_session",
         split_check_outcome=args.split_check_outcome,
         collapse_runs=args.collapse_runs,
-        workers=args.workers,
     )
     for name in sorted(files):
         print(f"wrote {files[name]}")
@@ -148,13 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="edxmine", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--workers", type=int, default=None,
-                       help="parallel parse workers (default: cores)")
-
     p_validate = sub.add_parser("validate", help="parse logs and report line tallies")
     p_validate.add_argument("logs", nargs="+", help="log files (.log or .gz)")
-    add_common(p_validate)
     p_validate.set_defaults(func=cmd_validate)
 
     p_pipeline = sub.add_parser(
@@ -164,14 +175,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_pipeline.add_argument("--run-config", help="run config JSON")
     p_pipeline.add_argument("--manifest", help="course manifest JSON (when no run config)")
     p_pipeline.add_argument("--out", required=True, help="output directory")
-    p_pipeline.add_argument("--gap-minutes", type=float, default=None,
-                            help="session inactivity gap (default 30)")
-    p_pipeline.add_argument("--passing-threshold", type=float, default=None,
-                            help=f"passing score ratio (default {DEFAULT_PASSING_THRESHOLD})")
+    p_pipeline.add_argument("--gap-minutes", dest="gap", type=_gap, default=None,
+                            help="session inactivity gap in minutes, > 0 (default 30)")
+    p_pipeline.add_argument("--passing-threshold", type=_threshold, default=None,
+                            help="passing score ratio in (0, 1] "
+                                 f"(default {DEFAULT_PASSING_THRESHOLD})")
     p_pipeline.add_argument("--exclude-no-show", action="store_true",
                             help="add no-show-excluded proportions to the breakdown")
     p_pipeline.add_argument("--format", choices=["csv", "jsonl"], default="csv")
-    add_common(p_pipeline)
     p_pipeline.set_defaults(func=cmd_pipeline)
 
     p_mine = sub.add_parser("mine", help="mine frequent event sequences per class")
@@ -196,9 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="split problem checks into pass/fail symbols")
     p_mine.add_argument("--collapse-runs", action="store_true",
                         help="collapse consecutive duplicate symbols")
-    p_mine.add_argument("--gap-minutes", type=float, default=None)
-    p_mine.add_argument("--passing-threshold", type=float, default=None)
-    add_common(p_mine)
+    p_mine.add_argument("--gap-minutes", dest="gap", type=_gap, default=None)
+    p_mine.add_argument("--passing-threshold", type=_threshold, default=None)
     p_mine.set_defaults(func=cmd_mine)
 
     p_synth = sub.add_parser("synth", help="generate a labeled synthetic corpus")

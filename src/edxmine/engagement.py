@@ -237,17 +237,13 @@ def score_r(
 def problem_history(
     events: Sequence[Event],
     passing_threshold: float = DEFAULT_PASSING_THRESHOLD,
-    count_problem_graded: bool = False,
 ) -> ProblemRecord:
     """Attempt history for one (user, problem) event stream.
 
     Checks and failed checks count as attempts; a failed check without grade
-    fields scores 0. Showing a problem or an answer is not an attempt.
+    fields scores 0. Showing a problem or an answer is not an attempt, and
+    neither is ``problem_graded``.
     """
-    attempt_types = ATTEMPT_TYPES
-    if count_problem_graded:
-        attempt_types = attempt_types | {EventType.PROBLEM_GRADED}
-
     user_id = events[0].user_id if events else ""
     problem_id = ""
     attempts: list[tuple[datetime, Optional[float]]] = []
@@ -255,7 +251,7 @@ def problem_history(
         payload = ev.payload
         if isinstance(payload, ProblemPayload) and not problem_id:
             problem_id = payload.problem_id
-        if ev.event_type not in attempt_types:
+        if ev.event_type not in ATTEMPT_TYPES:
             continue
         score: Optional[float] = None
         if (
@@ -327,7 +323,6 @@ class StudentEvents:
         self,
         manifest: Optional[CourseManifest] = None,
         passing_threshold: float = DEFAULT_PASSING_THRESHOLD,
-        count_problem_graded: bool = False,
     ) -> StudentAggregate:
         """Reduce buffered events to the per-student aggregate.
 
@@ -348,7 +343,7 @@ class StudentEvents:
         attempted: dict[str, ProblemRecord] = {}
         for pid in sorted(self.problem_events):
             evs = _in_total_order(self.problem_events[pid])
-            rec = problem_history(evs, passing_threshold, count_problem_graded)
+            rec = problem_history(evs, passing_threshold)
             if rec.n_attempts > 0:
                 attempted[pid] = rec
         n_problems = len(attempted)
@@ -441,7 +436,6 @@ def aggregate_student(
     events: Iterable[Event],
     manifest: Optional[CourseManifest] = None,
     passing_threshold: float = DEFAULT_PASSING_THRESHOLD,
-    count_problem_graded: bool = False,
     user_id: str = "",
     course_id: str = "",
 ) -> StudentAggregate:
@@ -452,18 +446,17 @@ def aggregate_student(
             state.user_id = ev.user_id
             state.course_id = ev.course_id
         state.add(ev)
-    return state.finalize(manifest, passing_threshold, count_problem_graded)
+    return state.finalize(manifest, passing_threshold)
 
 
 def aggregate_corpus(
     events: Iterable[Event],
     manifest: Optional[CourseManifest] = None,
     passing_threshold: float = DEFAULT_PASSING_THRESHOLD,
-    count_problem_graded: bool = False,
 ) -> list[StudentAggregate]:
     """Aggregate a whole corpus; rows sorted by (course, user)."""
     states = collect_student_events(events)
     return [
-        states[key].finalize(manifest, passing_threshold, count_problem_graded)
+        states[key].finalize(manifest, passing_threshold)
         for key in sorted(states, key=lambda k: (k[1], k[0]))
     ]

@@ -85,6 +85,7 @@ class CourseManifest:
         self._video_sections = frozenset(video_sections)
 
     def locate(self, block_id: str) -> Optional[BlockPosition]:
+        """Position of a block in the tree, or ``None`` when unknown."""
         return self._positions.get(block_id)
 
     def section_of(self, block_id: str) -> Optional[tuple[int, int, int]]:
@@ -97,11 +98,6 @@ class CourseManifest:
     def iter_blocks(self) -> Iterator[tuple[BlockPosition, Block]]:
         return _walk(self.submodules)
 
-    def block_ids(self, kind: Optional[BlockKind] = None) -> list[str]:
-        return [
-            b.block_id for _, b in self.iter_blocks() if kind is None or b.kind is kind
-        ]
-
 
 def _walk(submodules) -> Iterator[tuple[BlockPosition, Block]]:
     for si, sub in enumerate(submodules):
@@ -109,11 +105,6 @@ def _walk(submodules) -> Iterator[tuple[BlockPosition, Block]]:
             for ei, section in enumerate(chapter.sections):
                 for bi, block in enumerate(section.blocks):
                     yield BlockPosition(si, ci, ei, bi), block
-
-
-def locate_block(manifest: CourseManifest, block_id: str) -> Optional[BlockPosition]:
-    """Position of a block in the tree, or ``None`` when unknown. O(1) lookup."""
-    return manifest.locate(block_id)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
 """File-based pipeline orchestration: parse, aggregate, classify, report, mine.
 
 Stages communicate via files so each is independently re-runnable. Given the
-same inputs and flags every stage writes byte-identical outputs: parsing is
-order-merged deterministically, aggregation state merges commutatively, and
-all rows are emitted in sorted order.
+same inputs and flags every stage writes byte-identical outputs: files are
+parsed in input order, aggregation state merges commutatively, and all rows
+are emitted in sorted order.
 """
 
 from __future__ import annotations
@@ -11,9 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from pathlib import Path
@@ -77,6 +75,28 @@ _RUN_KEYS = {"manifest", "cohorts", "rules", "passing_threshold", "gap_minutes",
 _COHORT_KEYS = {"pattern", "modality", "term"}
 
 
+def checked_gap(minutes) -> timedelta:
+    """The session gap of ``minutes``, which must be a number (not a bool)
+    whose time span is positive and representable, so finite. The run config
+    and the command line share this check. Raises ValueError."""
+    try:
+        gap = timedelta(minutes=minutes)
+    except (TypeError, OverflowError, ValueError):  # not a number, too large, infinite, NaN
+        gap = None
+    if isinstance(minutes, bool) or gap is None or gap <= timedelta(0):
+        raise ValueError(f"gap_minutes must be a finite number greater than 0, got {minutes!r}")
+    return gap
+
+
+def checked_passing_threshold(value) -> float:
+    """``value`` as a passing score ratio: a number (not a bool) in (0, 1],
+    so not NaN. The run config and the command line share this check.
+    Raises ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value <= 1:
+        raise ValueError(f"passing_threshold must be a number in (0, 1], got {value!r}")
+    return float(value)
+
+
 def load_run_manifest(path: Union[str, Path]) -> RunManifest:
     """Load and validate a run config JSON file. Unknown keys are rejected
     and referenced paths must exist."""
@@ -131,82 +151,60 @@ def load_run_manifest(path: Union[str, Path]) -> RunManifest:
         except (TypeError, ValueError):
             raise InputError(f"{path}: bad anchor date for {label!r}: {raw!r}")
 
-    gap_minutes = obj.get("gap_minutes", 30)
-    if not isinstance(gap_minutes, (int, float)) or gap_minutes <= 0:
-        raise InputError(f"{path}: gap_minutes must be a positive number")
-    passing = obj.get("passing_threshold", DEFAULT_PASSING_THRESHOLD)
-    if not isinstance(passing, (int, float)) or not 0 < passing <= 1:
-        raise InputError(f"{path}: passing_threshold must be in (0, 1]")
+    try:
+        gap = checked_gap(obj.get("gap_minutes", 30))
+        passing = checked_passing_threshold(
+            obj.get("passing_threshold", DEFAULT_PASSING_THRESHOLD)
+        )
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}")
 
     return RunManifest(
         manifest=manifest,
         rules=rules,
-        passing_threshold=float(passing),
-        gap=timedelta(minutes=float(gap_minutes)),
+        passing_threshold=passing,
+        gap=gap,
         cohorts=cohorts,
         anchors=anchors,
     )
 
 
-def parse_log_files(
-    paths: Sequence[Union[str, Path]], workers: Optional[int] = None
-) -> tuple[ParseStats, list[Event], list[tuple[str, ParseStats]]]:
-    """Parse many files, merging results in input order regardless of the
-    worker count. ``workers=None`` uses the available cores."""
+def _existing(paths: Sequence[Union[str, Path]]) -> list[Path]:
+    """``paths`` as Paths; a missing file is an input error before any log
+    is read."""
     paths = [Path(p) for p in paths]
     for p in paths:
         if not p.exists():
             raise InputError(f"log file not found: {p}")
-    if workers is None:
-        workers = os.cpu_count() or 1
+    return paths
 
-    def parse_one(p: Path) -> tuple[ParseStats, list[Event]]:
-        stats = ParseStats()
-        events = list(iter_events(p, stats))
-        return stats, events
 
-    if workers > 1 and len(paths) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(parse_one, paths))
-    else:
-        results = [parse_one(p) for p in paths]
-
+def parse_log_files(
+    paths: Sequence[Union[str, Path]],
+) -> tuple[ParseStats, list[Event], list[tuple[str, ParseStats]]]:
+    """Parse many files in input order: the total tallies, every retained
+    event, and each file's tallies."""
     total = ParseStats()
     events: list[Event] = []
     per_file = []
-    for path, (stats, file_events) in zip(paths, results):
+    for path in _existing(paths):
+        stats = ParseStats()
+        events.extend(iter_events(path, stats))
         total = total.merge(stats)
-        events.extend(file_events)
         per_file.append((str(path), stats))
     return total, events, per_file
 
 
 def validate_files(
-    paths: Sequence[Union[str, Path]], workers: Optional[int] = None
+    paths: Sequence[Union[str, Path]],
 ) -> tuple[ParseStats, list[tuple[str, ParseStats]]]:
     """Streaming per-file parse tallies; events are discarded, not held."""
-    paths = [Path(p) for p in paths]
-    for p in paths:
-        if not p.exists():
-            raise InputError(f"log file not found: {p}")
-    if workers is None:
-        workers = os.cpu_count() or 1
-
-    def tally_one(p: Path) -> ParseStats:
-        stats = ParseStats()
-        for _ in iter_events(p, stats):
-            pass
-        return stats
-
-    if workers > 1 and len(paths) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(tally_one, paths))
-    else:
-        results = [tally_one(p) for p in paths]
-
     total = ParseStats()
     per_file = []
-    for path, stats in zip(paths, results):
+    for path in _existing(paths):
+        stats = ParseStats()
+        for _ in iter_events(path, stats):
+            pass
         total = total.merge(stats)
         per_file.append((str(path), stats))
     return total, per_file
@@ -278,12 +276,11 @@ def run_pipeline(
     log_paths: Sequence[Union[str, Path]],
     out_dir: Union[str, Path],
     fmt: str = "csv",
-    workers: Optional[int] = None,
     exclude_no_show: bool = False,
 ) -> PipelineResult:
     """Full batch: validate/parse, aggregate, classify, emit all report tables."""
     # Inputs are read before any output exists, so a bad input writes nothing.
-    total_stats, events, per_file = parse_log_files(log_paths, workers)
+    total_stats, events, per_file = parse_log_files(log_paths)
     by_cohort, unmatched = assign_cohorts(events, run.cohorts)
 
     out_dir = Path(out_dir)
@@ -387,9 +384,10 @@ def read_classifications(path: Union[str, Path]) -> dict[tuple[str, str], str]:
 
 
 def resolve_min_support(spec: float, n_sequences: int) -> int:
-    """Absolute count, or a fraction of the database when spec < 1."""
+    """Absolute count, or a fraction of the database when spec < 1. Either
+    rounds up: a count reaches 2.5 only when it reaches 3."""
     if spec >= 1:
-        return int(spec)
+        return math.ceil(spec)
     return max(1, math.ceil(spec * n_sequences))
 
 
@@ -404,7 +402,6 @@ def run_mining(
     granularity: str = "per_session",
     split_check_outcome: bool = False,
     collapse_runs: bool = False,
-    workers: Optional[int] = None,
 ) -> dict:
     """Per-class pattern tables plus the cross-class contrast table."""
     if class_names:
@@ -418,7 +415,7 @@ def run_mining(
         selected = list(CLASS_NAMES)
 
     student_classes = read_classifications(classifications_path)
-    _, events, _ = parse_log_files(log_paths, workers)
+    _, events, _ = parse_log_files(log_paths)
     events_by_class: dict[str, list[Event]] = {name: [] for name in selected}
     for ev in events:
         bucket = events_by_class.get(student_classes.get((ev.user_id, ev.course_id)))

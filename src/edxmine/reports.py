@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import date, timedelta
+from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence, Union
-
-import numpy as np
+from typing import Mapping, Optional, Sequence, Union
 
 from .classify import OrdinalClass
 from .engagement import StudentAggregate
@@ -131,17 +130,69 @@ def categorical_breakdown(
     return rows
 
 
+def _pairwise_sum(values: Sequence[float]) -> float:
+    """numpy's float64 pairwise sum, so the bytes match ``np.add.reduce``.
+
+    Below 8 values a plain loop; up to 128, eight running sums combined as a
+    tree and then the remainder; above 128, the halves split at ``n // 2``
+    rounded down to a multiple of 8. No built-in ``sum``: from Python 3.12 on
+    it compensates float rounding.
+    """
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for x in values:
+            total += x
+        return total
+    if n <= 128:
+        blocks_end = n - n % 8
+        r = []
+        for lane in range(8):
+            acc = values[lane]
+            for x in values[lane + 8:blocks_end:8]:
+                acc += x
+            r.append(acc)
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for x in values[blocks_end:]:
+            total += x
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+
+
+def _percentile(ordered: Sequence[float], q: float) -> float:
+    """``np.percentile(..., method="linear")`` of sorted values, same bytes."""
+    index = (len(ordered) - 1) * q
+    below = int(index)
+    if below >= len(ordered) - 1:
+        return ordered[-1]
+    a, b = ordered[below], ordered[below + 1]
+    t = index - below
+    d = b - a
+    return a + d * t if t < 0.5 else b - d * (1 - t)
+
+
+def _mean(values: Sequence[float]) -> float:
+    """``np.mean``: ``add.reduce`` starts from 0.0, which also turns a sum of
+    negative zeros into 0.0."""
+    return (0.0 + _pairwise_sum(values)) / len(values)
+
+
 def _stats(values: Sequence[float]) -> tuple:
     """(mean, population variance, q1, median, q3) with linear-interpolation
-    quartiles."""
-    arr = np.asarray(values, dtype=float)
-    q1, median, q3 = np.percentile(arr, [25.0, 50.0, 75.0], method="linear")
+    quartiles, computed with numpy's float64 formulas so every byte matches
+    ``arr.mean()``, ``arr.var()`` and ``np.percentile``. ``statistics``
+    rounds differently in the last place."""
+    values = [float(v) for v in values]
+    mean = _mean(values)
+    ordered = sorted(values)
     return (
-        float(arr.mean()),
-        float(arr.var()),
-        float(q1),
-        float(median),
-        float(q3),
+        mean,
+        _mean([(x - mean) * (x - mean) for x in values]),
+        _percentile(ordered, 0.25),
+        _percentile(ordered, 0.5),
+        _percentile(ordered, 0.75),
     )
 
 
@@ -217,70 +268,18 @@ def weekly_report(
 
 # -- serialization ----------------------------------------------------------
 
-def _cell(value):
-    if value is None:
-        return ""
-    return value
-
-
-def _row_dicts(rows: Iterable) -> tuple[list[str], list[dict]]:
-    """Flatten report dataclass rows to (fieldnames, dicts) for output."""
-    out = []
-    fieldnames: list[str] = []
-    for row in rows:
-        if isinstance(row, EnrollmentRow):
-            fieldnames = ["cohort", "users", "user_events", "sessions"]
-            out.append(
-                {
-                    "cohort": row.cohort.label,
-                    "users": row.users,
-                    "user_events": row.user_events,
-                    "sessions": row.sessions,
-                }
-            )
-        elif isinstance(row, BreakdownRow):
-            fieldnames = [
-                "cohort", "class", "count", "proportion", "proportion_excluding_no_show",
-            ]
-            out.append(
-                {
-                    "cohort": row.cohort.label,
-                    "class": row.ordinal_class.value,
-                    "count": row.count,
-                    "proportion": row.proportion,
-                    "proportion_excluding_no_show": row.proportion_excluding_no_show,
-                }
-            )
-        elif isinstance(row, ScoreStats):
-            fieldnames = [
-                "cohort", "metric", "group", "mean", "variance", "q1", "median", "q3", "n",
-            ]
-            out.append(
-                {
-                    "cohort": row.cohort.label,
-                    "metric": row.metric,
-                    "group": row.group,
-                    "mean": row.mean,
-                    "variance": row.variance,
-                    "q1": row.q1,
-                    "median": row.median,
-                    "q3": row.q3,
-                    "n": row.n,
-                }
-            )
-        elif isinstance(row, WeeklyRow):
-            fieldnames = ["cohort", "week_index", "new_users", "returning_users"]
-            out.append(
-                {
-                    "cohort": row.cohort.label,
-                    "week_index": row.week_index,
-                    "new_users": row.new_users,
-                    "returning_users": row.returning_users,
-                }
-            )
-        else:
-            raise TypeError(f"not a report row: {row!r}")
-    return fieldnames, out
+def _cells(row) -> list:
+    """A report row's values in field order; a cohort is written as its
+    label and an ordinal class as its name."""
+    cells = []
+    for f in fields(row):
+        value = getattr(row, f.name)
+        if isinstance(value, CohortId):
+            value = value.label
+        elif isinstance(value, Enum):
+            value = value.value
+        cells.append(value)
+    return cells
 
 
 _HEADERS = {
@@ -295,25 +294,22 @@ def write_report(
     path: Union[str, Path],
     rows: Sequence,
     fmt: str = "csv",
-    kind: Optional[str] = None,
+    *,
+    kind: str,
 ) -> None:
-    """Write a report table as CSV (default) or JSON lines, UTF-8.
-
-    ``kind`` supplies the header for empty tables, where the row type cannot
-    be inferred.
-    """
-    fieldnames, dicts = _row_dicts(rows)
-    if not fieldnames:
-        fieldnames = _HEADERS.get(kind or "", [])
+    """Write a report table of ``kind`` (a ``_HEADERS`` key) as CSV
+    (default) or JSON lines, UTF-8. A ``None`` cell is empty in CSV and
+    ``null`` in JSON lines."""
+    header = _HEADERS[kind]
     if fmt == "csv":
         with open(path, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.DictWriter(handle, fieldnames=fieldnames)
-            writer.writeheader()
-            for row in dicts:
-                writer.writerow({k: _cell(v) for k, v in row.items()})
+            writer = csv.writer(handle)
+            writer.writerow(header)
+            writer.writerows(_cells(row) for row in rows)
     elif fmt == "jsonl":
         with open(path, "w", encoding="utf-8") as handle:
-            for row in dicts:
-                handle.write(json.dumps(row, separators=(",", ":")) + "\n")
+            for row in rows:
+                cells = dict(zip(header, _cells(row)))
+                handle.write(json.dumps(cells, separators=(",", ":")) + "\n")
     else:
         raise ValueError(f"unknown format: {fmt!r}")

@@ -16,7 +16,6 @@ from edxmine.manifest import (
     SubModule,
     content_counts,
     load_manifest,
-    locate_block,
     manifest_to_dict,
     parse_manifest,
 )
@@ -92,17 +91,17 @@ class TestLocateBlock:
                 ),
             ),
         )
-        assert locate_block(manifest, "b0") == BlockPosition(0, 0, 0, 0)
+        assert manifest.locate("b0") == BlockPosition(0, 0, 0, 0)
 
     def test_unknown_id(self, content_table_manifest):
-        assert locate_block(content_table_manifest, "nope") is None
+        assert content_table_manifest.locate("nope") is None
 
     def test_locate_agrees_with_traversal(self):
         rng = random.Random(23)
         for _ in range(25):
             manifest = random_manifest(rng)
             for pos, block in manifest.iter_blocks():
-                assert locate_block(manifest, block.block_id) == pos
+                assert manifest.locate(block.block_id) == pos
 
     def test_duplicate_id_rejected(self):
         blocks = (Block("dup", BlockKind.VIDEO), Block("dup", BlockKind.TEXT))

@@ -3,10 +3,15 @@ from __future__ import annotations
 import csv
 import gzip
 import json
+import os
+import subprocess
+import sys
 from datetime import date
+from pathlib import Path
 
 import pytest
 
+import edxmine
 from edxmine.cli import main
 from edxmine.manifest import manifest_to_dict
 from edxmine.pipeline import (
@@ -89,6 +94,27 @@ class TestRunManifestLoading:
         with pytest.raises(InputError, match="anchor"):
             load_run_manifest(path)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("gap_minutes", "NaN"),
+            ("gap_minutes", "Infinity"),
+            ("gap_minutes", "1e308"),
+            ("gap_minutes", "true"),
+            ("gap_minutes", "0"),
+            ("gap_minutes", "1e-300"),
+            ("gap_minutes", '"30"'),
+            ("passing_threshold", "true"),
+            ("passing_threshold", "NaN"),
+            ("passing_threshold", "1.5"),
+        ],
+    )
+    def test_bad_gap_or_threshold_rejected(self, tmp_path, key, value):
+        path = tmp_path / "run.json"
+        path.write_text(f'{{"{key}": {value}}}')
+        with pytest.raises(InputError, match=key):
+            load_run_manifest(path)
+
     def test_default_catch_all_cohort(self):
         run = RunManifest()
         assert run.cohorts[0].pattern == ".*"
@@ -137,6 +163,11 @@ class TestMinSupport:
     def test_absolute(self):
         assert resolve_min_support(5, 1000) == 5
 
+    def test_absolute_rounds_up(self):
+        # A pattern in 2 sequences does not reach a support of 2.5.
+        assert resolve_min_support(2.5, 100) == 3
+        assert resolve_min_support(5.0, 100) == 5
+
     def test_fraction(self):
         assert resolve_min_support(0.05, 40) == 2
         assert resolve_min_support(0.05, 1) == 1
@@ -178,19 +209,26 @@ class TestRunPipeline:
         for name, path in first.files.items():
             assert path.read_bytes() == second.files[name].read_bytes(), name
 
-    def test_workers_do_not_change_output(self, small_corpus, tmp_path):
+    def test_shards_give_same_bytes_as_whole_log(self, small_corpus, tmp_path):
         run = load_run_manifest(small_corpus["run_config"])
+        # Alternate lines, read in the other order: no event keeps its place.
         lines = small_corpus["events"].read_text().splitlines()
-        half = len(lines) // 2
         shard_a = tmp_path / "a.log"
         shard_b = tmp_path / "b.log"
-        shard_a.write_text("\n".join(lines[:half]) + "\n")
-        shard_b.write_text("\n".join(lines[half:]) + "\n")
+        shard_a.write_text("\n".join(lines[0::2]) + "\n")
+        shard_b.write_text("\n".join(lines[1::2]) + "\n")
 
-        serial = run_pipeline(run, [shard_a, shard_b], tmp_path / "serial", workers=1)
-        threaded = run_pipeline(run, [shard_a, shard_b], tmp_path / "threaded", workers=4)
-        for name, path in serial.files.items():
-            assert path.read_bytes() == threaded.files[name].read_bytes(), name
+        outputs = {}
+        for name, logs in (("whole", [small_corpus["events"]]), ("shards", [shard_b, shard_a])):
+            out = tmp_path / name
+            files = run_pipeline(run, logs, out).files
+            files.update(run_mining(run, logs, out / "classifications.csv", out, max_len=3))
+            outputs[name] = files
+        # run_meta.json tallies each input file, so its per_file_stats differ.
+        del outputs["whole"]["run_meta"]
+        assert set(outputs["whole"]) < set(outputs["shards"])
+        for name, path in outputs["whole"].items():
+            assert path.read_bytes() == outputs["shards"][name].read_bytes(), name
 
     def test_zero_event_input(self, tmp_path):
         empty = tmp_path / "empty.log"
@@ -363,6 +401,83 @@ class TestCli:
         assert flag.split("=")[0] in err
         assert "Traceback" not in err
         assert sorted(p.name for p in out.iterdir()) == ["classifications.csv"]
+
+    @pytest.mark.parametrize("command", ["pipeline", "mine"])
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            "--gap-minutes=nan",
+            "--gap-minutes=inf",
+            "--gap-minutes=1e308",
+            "--gap-minutes=-5",
+            "--gap-minutes=0",
+            "--gap-minutes=1e-300",
+            "--passing-threshold=5",
+            "--passing-threshold=-1",
+            "--passing-threshold=0",
+            "--passing-threshold=nan",
+            "--workers=2",
+        ],
+    )
+    def test_bad_gap_threshold_or_workers_exit_one(self, tmp_path, capsys, command, flag):
+        log = tmp_path / "events.log"
+        log.write_text(raw_line() + "\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "classifications.csv").write_text("user_id,course_id,cohort,class\n")
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(log), "--out", str(out), flag])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert flag.split("=")[0] in err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in out.iterdir()) == ["classifications.csv"]
+
+    def test_validate_workers_flag_is_usage_error(self, tmp_path, capsys):
+        log = tmp_path / "events.log"
+        log.write_text(raw_line() + "\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", str(log), "--workers", "2"])
+        assert exc.value.code == 1
+        assert "--workers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("gap", ["NaN", "1e308"])
+    def test_pipeline_unusable_config_gap_exits_two(self, tmp_path, capsys, gap):
+        log = tmp_path / "events.log"
+        log.write_text(raw_line() + "\n")
+        config = tmp_path / "run.json"
+        config.write_text(f'{{"gap_minutes": {gap}}}')
+        out = tmp_path / "out"
+        code = main(["pipeline", str(log), "--run-config", str(config), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "gap_minutes" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_gap_and_threshold_flags_override_config(self, small_corpus, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(
+            [
+                "pipeline", str(small_corpus["events"]),
+                "--run-config", str(small_corpus["run_config"]), "--out", str(out),
+                "--gap-minutes", "45", "--passing-threshold", "0.5",
+            ]
+        )
+        assert code == 0
+        config = json.loads((out / "run_meta.json").read_text())["config"]
+        assert config["gap_minutes"] == 45.0
+        assert config["passing_threshold"] == 0.5
+
+    def test_cli_import_leaves_numpy_out(self):
+        src = str(Path(edxmine.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        code = "import sys, edxmine.cli; print('numpy' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.strip() == "False"
 
     def test_pipeline_bad_config_writes_nothing(self, small_corpus, tmp_path, capsys):
         bad = tmp_path / "run.json"

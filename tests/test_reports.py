@@ -117,6 +117,30 @@ class TestScoreStats:
         assert median == 2.5
         assert q3 == 3.25
 
+    def test_matches_numpy_bytes(self):
+        """Oracle: the same repr as numpy's mean, var and linear percentiles,
+        on values shaped like per-student mean scores and retry indexes."""
+        np = pytest.importorskip("numpy")
+        rng = random.Random(4711)
+
+        def mean_score():
+            marks = [rng.choice((1, 2, 4, 5, 10)) for _ in range(rng.randint(1, 12))]
+            return sum(rng.randint(0, m) / m for m in marks) / len(marks)
+
+        def mean_retry():
+            problems = rng.randint(1, 9)
+            return sum(rng.randint(1, 4) for _ in range(problems)) / problems
+
+        cases = [[-0.0] * size for size in (1, 7, 8, 130)]
+        for size in list(range(1, 301)) + [1000, 8191, 8192, 8193, 16384, 20001]:
+            for draw in (mean_score, mean_retry, rng.random):
+                cases.append([draw() for _ in range(size)])
+        for values in cases:
+            arr = np.asarray(values, dtype=float)
+            q1, median, q3 = np.percentile(arr, [25.0, 50.0, 75.0], method="linear")
+            expected = (arr.mean(), arr.var(), q1, median, q3)
+            assert repr(_stats(values)) == repr(tuple(float(v) for v in expected)), len(values)
+
     def test_uniform_scores(self):
         aggs = [agg(user=f"u{i}", first=0.5, final=1.0) for i in range(4)]
         rows = score_comparison({ON_CAMPUS: aggs})
@@ -199,7 +223,7 @@ class TestWriteReport:
 
     def test_csv(self, tmp_path):
         path = tmp_path / "breakdown.csv"
-        write_report(path, self._rows(), fmt="csv")
+        write_report(path, self._rows(), fmt="csv", kind="breakdown")
         with open(path, newline="") as handle:
             rows = list(csv.DictReader(handle))
         assert rows[0]["cohort"] == "on_campus:Spring 2021"
@@ -210,7 +234,7 @@ class TestWriteReport:
 
     def test_jsonl(self, tmp_path):
         path = tmp_path / "breakdown.jsonl"
-        write_report(path, self._rows(), fmt="jsonl")
+        write_report(path, self._rows(), fmt="jsonl", kind="breakdown")
         lines = [json.loads(line) for line in path.read_text().splitlines()]
         assert lines[0]["cohort"] == "on_campus:Spring 2021"
         assert {"class", "count", "proportion"} <= set(lines[0])
@@ -222,4 +246,4 @@ class TestWriteReport:
 
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
-            write_report(tmp_path / "x", self._rows(), fmt="parquet")
+            write_report(tmp_path / "x", self._rows(), fmt="parquet", kind="breakdown")
