@@ -8,7 +8,7 @@ never counts twice.
 
 from datetime import datetime, timedelta, timezone
 
-from edxmine.events import Event, EventSource, EventType, VideoPayload
+from edxmine.events import Event, EventType, VideoPayload
 from edxmine.engagement import reconstruct_intervals
 
 T0 = datetime(2021, 8, 26, 10, 0, tzinfo=timezone.utc)
@@ -18,7 +18,7 @@ def ev(etype, t, **payload):
     return Event(
         user_id="u1", course_id="c1", org_id="GTX", session_id=None,
         timestamp=T0 + timedelta(seconds=t),
-        event_type=EventType(etype), source=EventSource.BROWSER,
+        event_type=EventType(etype),
         payload=VideoPayload(video_id="v1", **payload),
     )
 

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Optional, Union
+from typing import Mapping, Optional, Union
 
 from .engagement import StudentAggregate
 
@@ -30,6 +31,42 @@ class OrdinalClass(enum.Enum):
 
 
 CLASS_NAMES = tuple(c.value for c in OrdinalClass)
+
+#: The type check of one config key: the accepted types, and for a number
+#: the least value allowed (None for no bound).
+FieldCheck = tuple[tuple[type, ...], Optional[float]]
+
+_TYPE_NAMES = {
+    str: "a string", int: "a number", float: "a number", bool: "true or false",
+    list: "a list", dict: "an object", type(None): "null",
+}
+
+
+def _passes(value, types: tuple[type, ...], least: Optional[float]) -> bool:
+    if isinstance(value, bool):
+        return bool in types
+    if not isinstance(value, types):
+        return False
+    if isinstance(value, float) and not math.isfinite(value):
+        return False
+    return least is None or not isinstance(value, (int, float)) or value >= least
+
+
+def check_fields(obj: Mapping, checks: Mapping[str, FieldCheck]) -> None:
+    """Check each key of ``obj`` that ``checks`` lists: its value must have
+    one of the listed types, and a number must be finite and at least the
+    listed bound. A bool is never a number. Run configs and rule configs
+    share this check. Raises ValueError naming the key."""
+    for key, value in obj.items():
+        if key not in checks:
+            continue
+        types, least = checks[key]
+        if _passes(value, types, least):
+            continue
+        expected = " or ".join(dict.fromkeys(_TYPE_NAMES[t] for t in types))
+        if least is not None:
+            expected = f"a finite number >= {least:g}"
+        raise ValueError(f"{key} must be {expected}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -65,6 +102,7 @@ class RuleConfig:
         unknown = set(obj) - known
         if unknown:
             raise ValueError(f"unknown rule config keys: {sorted(unknown)}")
+        check_fields(obj, _RULE_CHECKS)
         return cls(**obj)
 
     @classmethod
@@ -74,6 +112,11 @@ class RuleConfig:
 
 
 DEFAULT_RULES = RuleConfig()
+
+# Every threshold is a number >= 0; the one switch is a bool.
+_RULE_CHECKS: dict[str, FieldCheck] = {
+    f.name: ((bool,), None) if f.type == "bool" else ((int, float), 0) for f in fields(RuleConfig)
+}
 
 
 def classify(agg: StudentAggregate, cfg: Optional[RuleConfig] = None) -> OrdinalClass:

@@ -284,10 +284,11 @@ def problem_history(
 _timestamp = attrgetter("timestamp")
 
 
-def _in_total_order(events: list[Event]) -> list[Event]:
+def in_total_order(events: list[Event]) -> list[Event]:
     """``events`` in (timestamp, canonical JSON) order, so identical event
-    multisets finalize identically no matter how shards were merged. Only
-    events that share a timestamp are serialized for the tie-break."""
+    multisets finalize and mine identically no matter how the log was split
+    or the shards merged. Only events that share a timestamp are serialized
+    for the tie-break."""
     out: list[Event] = []
     for _, run in groupby(sorted(events, key=_timestamp), key=_timestamp):
         tied = list(run)
@@ -332,7 +333,7 @@ class StudentEvents:
         n_videos = 0
         fractions: list[float] = []
         for vid in sorted(self.video_events):
-            evs = _in_total_order(self.video_events[vid])
+            evs = in_total_order(self.video_events[vid])
             if any(e.event_type is EventType.PLAY_VIDEO for e in evs):
                 n_videos += 1
             fraction = reconstruct_intervals(evs).watch_fraction
@@ -342,7 +343,7 @@ class StudentEvents:
         # Built in sorted problem-id order, which every mean below relies on.
         attempted: dict[str, ProblemRecord] = {}
         for pid in sorted(self.problem_events):
-            evs = _in_total_order(self.problem_events[pid])
+            evs = in_total_order(self.problem_events[pid])
             rec = problem_history(evs, passing_threshold)
             if rec.n_attempts > 0:
                 attempted[pid] = rec

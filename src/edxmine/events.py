@@ -100,21 +100,7 @@ def classify_event_type(name: str) -> EventType:
     return _BY_NAME.get(name, EventType.OTHER)
 
 
-class EventSource(enum.Enum):
-    BROWSER = "browser"
-    SERVER = "server"
-    OTHER = "other"
-
-    @classmethod
-    def from_raw(cls, raw) -> "EventSource":
-        if raw == "browser":
-            return cls.BROWSER
-        if raw == "server":
-            return cls.SERVER
-        return cls.OTHER
-
-
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class VideoPayload:
     video_id: str
     duration: Optional[float] = None
@@ -124,7 +110,7 @@ class VideoPayload:
     new_speed: Optional[float] = None  # speed_change only
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ProblemPayload:
     problem_id: str
     grade: Optional[float] = None
@@ -136,9 +122,10 @@ class ProblemPayload:
 Payload = Union[VideoPayload, ProblemPayload]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Event:
-    """One retained, typed log record."""
+    """One retained, typed log record. Every retained event comes from the
+    browser, so the source is not kept."""
 
     user_id: str
     course_id: str
@@ -146,7 +133,6 @@ class Event:
     session_id: Optional[str]
     timestamp: datetime
     event_type: EventType
-    source: EventSource
     payload: Optional[Payload]
 
 
@@ -210,16 +196,22 @@ class ParseStats:
 
 
 _FRACTION = re.compile(r"\.(\d+)")
+_UTC = timezone.utc
+_isfinite = math.isfinite
 
 
 def parse_timestamp(raw) -> Optional[datetime]:
     """Parse an ISO-8601 instant (fractional seconds, trailing Z) to UTC.
 
     Precision is quantized to milliseconds so that serialization round-trips.
+    An instant that falls outside ``datetime``'s range once moved to UTC is
+    unparseable.
     """
-    if not isinstance(raw, str) or not raw:
+    # Decoded JSON holds exact types, so ``type(...) is`` suffices here and in
+    # the field checks below; it is cheaper than isinstance.
+    if type(raw) is not str or not raw:
         return None
-    text = raw[:-1] + "+00:00" if raw.endswith("Z") else raw
+    text = raw[:-1] + "+00:00" if raw[-1] == "Z" else raw
     try:
         ts = datetime.fromisoformat(text)
     except ValueError:
@@ -229,11 +221,20 @@ def parse_timestamp(raw) -> Optional[datetime]:
             ts = datetime.fromisoformat(normalized)
         except ValueError:
             return None
-    if ts.tzinfo is None:
-        ts = ts.replace(tzinfo=timezone.utc)
-    else:
-        ts = ts.astimezone(timezone.utc)
-    return ts.replace(microsecond=ts.microsecond // 1000 * 1000)
+    # A zero offset parses to the ``timezone.utc`` singleton, which needs no
+    # conversion.
+    tz = ts.tzinfo
+    if tz is None:
+        ts = ts.replace(tzinfo=_UTC)
+    elif tz is not _UTC:
+        try:
+            ts = ts.astimezone(_UTC)
+        except OverflowError:
+            return None
+    micro = ts.microsecond
+    if micro % 1000:
+        ts = ts.replace(microsecond=micro - micro % 1000)
+    return ts
 
 
 def format_timestamp(ts: datetime) -> str:
@@ -243,13 +244,21 @@ def format_timestamp(ts: datetime) -> str:
 def _as_float(value) -> Optional[float]:
     """Coerce a JSON number or numeric string to a finite float; anything
     else, NaN and the infinities included, is absent."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-        return None
-    try:
-        num = float(value)
-    except (ValueError, OverflowError):
-        return None
-    return num if math.isfinite(num) else None
+    kind = type(value)
+    if kind is float:
+        return value if _isfinite(value) else None
+    if kind is int:
+        try:
+            return float(value)
+        except OverflowError:
+            return None
+    if kind is str:
+        try:
+            num = float(value)
+        except ValueError:
+            return None
+        return num if _isfinite(num) else None
+    return None
 
 
 def _nonneg(value) -> Optional[float]:
@@ -263,15 +272,16 @@ def _positive(value) -> Optional[float]:
 
 
 def _as_id(value) -> Optional[str]:
-    if isinstance(value, str) and value:
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
+    kind = type(value)
+    if kind is str:
+        return value or None
+    if kind is int:
         return str(value)
     return None
 
 
 def _as_bool(value) -> Optional[bool]:
-    if isinstance(value, bool):
+    if type(value) is bool:
         return value
     if value == "correct":
         return True
@@ -287,13 +297,14 @@ def _video_payload(etype: EventType, raw: dict) -> Optional[VideoPayload]:
     current = raw.get("currentTime")
     if current is None:
         current = raw.get("current_time")
+    old_time = new_time = new_speed = None
+    if etype is EventType.SEEK_VIDEO:
+        old_time = _nonneg(raw.get("old_time"))
+        new_time = _nonneg(raw.get("new_time"))
+    elif etype is EventType.SPEED_CHANGE:
+        new_speed = _positive(raw.get("new_speed"))
     return VideoPayload(
-        video_id=video_id,
-        duration=_nonneg(raw.get("duration")),
-        current_time=_nonneg(current),
-        old_time=_nonneg(raw.get("old_time")) if etype is EventType.SEEK_VIDEO else None,
-        new_time=_nonneg(raw.get("new_time")) if etype is EventType.SEEK_VIDEO else None,
-        new_speed=_positive(raw.get("new_speed")) if etype is EventType.SPEED_CHANGE else None,
+        video_id, _nonneg(raw.get("duration")), _nonneg(current), old_time, new_time, new_speed
     )
 
 
@@ -306,15 +317,24 @@ def _problem_payload(raw: dict) -> Optional[ProblemPayload]:
     if grade is not None and max_grade is not None and grade > max_grade:
         grade = max_grade = None  # inconsistent pair, treat as unscored
     attempts = raw.get("attempts")
-    if not isinstance(attempts, int) or isinstance(attempts, bool) or attempts < 0:
+    if type(attempts) is not int or attempts < 0:
         attempts = None
-    return ProblemPayload(
-        problem_id=problem_id,
-        grade=grade,
-        max_grade=max_grade,
-        success=_as_bool(raw.get("success")),
-        attempts=attempts,
-    )
+    return ProblemPayload(problem_id, grade, max_grade, _as_bool(raw.get("success")), attempts)
+
+
+_decode = json.JSONDecoder().decode
+_detect_encoding = json.detect_encoding
+_NO_CONTEXT: dict = {}
+
+# The outcomes are frozen, so one instance per reason serves every line.
+_INVALID_JSON = Malformed("invalid json")
+_NOT_AN_OBJECT = Malformed("not an object")
+_MISSING_EVENT_TYPE = Malformed("missing event type")
+_MISSING_USER = Malformed("missing user")
+_MISSING_COURSE = Malformed("missing course")
+_BAD_TIMESTAMP = Malformed("missing or bad timestamp")
+_OTHER_EVENT_TYPE = FilteredOut("event_type")
+_OTHER_SOURCE = FilteredOut("source")
 
 
 def parse_line(text: Union[str, bytes]) -> ParseOutcome:
@@ -326,74 +346,67 @@ def parse_line(text: Union[str, bytes]) -> ParseOutcome:
     byte line always yields the same outcome.
     """
     try:
-        obj = json.loads(text)
-    except (ValueError, UnicodeDecodeError, RecursionError):
-        # RecursionError: nesting deeper than the decoder's stack allows.
-        return Malformed("invalid json")
-    if not isinstance(obj, dict):
-        return Malformed("not an object")
+        if type(text) is not str:
+            # Exactly what json.loads does with bytes, done here once.
+            text = text.decode(_detect_encoding(text), "surrogatepass")
+        obj = _decode(text)
+    except (ValueError, RecursionError):
+        # ValueError includes UnicodeDecodeError. RecursionError: nesting
+        # deeper than the decoder's stack allows.
+        return _INVALID_JSON
+    if type(obj) is not dict:
+        return _NOT_AN_OBJECT
 
     # edX writes the discriminator to both "event_type" and "name";
     # "event_type" wins when they disagree.
     name = obj.get("event_type")
-    if not isinstance(name, str) or not name:
+    if type(name) is not str or not name:
         name = obj.get("name")
-    if not isinstance(name, str) or not name:
-        return Malformed("missing event type")
+        if type(name) is not str or not name:
+            return _MISSING_EVENT_TYPE
 
-    etype = classify_event_type(name)
-    if etype is EventType.OTHER:
-        return FilteredOut("event_type")
-
-    source = EventSource.from_raw(obj.get("event_source"))
-    if source is not EventSource.BROWSER:
-        return FilteredOut("source")
+    etype = _BY_NAME.get(name)
+    if etype is None:
+        return _OTHER_EVENT_TYPE
+    if obj.get("event_source") != "browser":
+        return _OTHER_SOURCE
 
     context = obj.get("context")
-    if not isinstance(context, dict):
-        context = {}
+    if type(context) is not dict:
+        context = _NO_CONTEXT
     user_id = (
         _as_id(context.get("user_id"))
         or _as_id(obj.get("user_id"))
         or _as_id(obj.get("username"))
     )
     if user_id is None:
-        return Malformed("missing user")
+        return _MISSING_USER
     course_id = _as_id(context.get("course_id")) or _as_id(obj.get("course_id"))
     if course_id is None:
-        return Malformed("missing course")
+        return _MISSING_COURSE
     org_id = _as_id(context.get("org_id")) or _as_id(obj.get("org_id")) or ""
 
     timestamp = parse_timestamp(obj.get("time")) or parse_timestamp(obj.get("timestamp"))
     if timestamp is None:
-        return Malformed("missing or bad timestamp")
+        return _BAD_TIMESTAMP
 
     session_id = _as_id(obj.get("session")) or _as_id(obj.get("session_id"))
 
     raw_payload = obj.get("event")
-    if isinstance(raw_payload, str):
+    if type(raw_payload) is str:
         # Nested payloads sometimes arrive JSON-encoded; re-parse once.
         try:
-            raw_payload = json.loads(raw_payload)
+            raw_payload = _decode(raw_payload)
         except (ValueError, RecursionError):
             raw_payload = None
     payload: Optional[Payload] = None
-    if isinstance(raw_payload, dict):
-        if etype.family is EventFamily.VIDEO:
+    if type(raw_payload) is dict:
+        if etype in _VIDEO_TYPES:
             payload = _video_payload(etype, raw_payload)
         else:
             payload = _problem_payload(raw_payload)
 
-    return Event(
-        user_id=user_id,
-        course_id=course_id,
-        org_id=org_id,
-        session_id=session_id,
-        timestamp=timestamp,
-        event_type=etype,
-        source=source,
-        payload=payload,
-    )
+    return Event(user_id, course_id, org_id, session_id, timestamp, etype, payload)
 
 
 _PAYLOAD_FIELDS = (
@@ -422,7 +435,6 @@ def event_to_json(event: Event) -> str:
         obj["session_id"] = event.session_id
     obj["timestamp"] = format_timestamp(event.timestamp)
     obj["event_type"] = event.event_type.value
-    obj["source"] = event.source.value
     payload = event.payload
     if payload is not None:
         for name in _PAYLOAD_FIELDS:
@@ -464,7 +476,6 @@ def event_from_json(line: Union[str, bytes]) -> Event:
         session_id=obj.get("session_id"),
         timestamp=timestamp,
         event_type=etype,
-        source=EventSource.from_raw(obj.get("source")),
         payload=payload,
     )
 

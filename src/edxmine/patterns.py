@@ -19,7 +19,7 @@ from datetime import timedelta
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .engagement import DEFAULT_PASSING_THRESHOLD
+from .engagement import DEFAULT_PASSING_THRESHOLD, in_total_order
 from .events import Event, EventType, ProblemPayload, RETAINED_EVENT_TYPES
 from .sessions import DEFAULT_GAP, group_into_sessions
 
@@ -102,7 +102,9 @@ def encode_sequences(
 
     sequences: list[SymbolSequence] = []
     for user_id, course_id in sorted(by_student):
-        user_events = sorted(by_student[user_id, course_id], key=lambda e: e.timestamp)
+        # The order finalize uses: tied events must not keep their input
+        # order, or the output would depend on how the log was split.
+        user_events = in_total_order(by_student[user_id, course_id])
         if granularity == "per_user":
             groups = [(user_id, user_events)]
         else:
@@ -264,8 +266,7 @@ def write_contrast_csv(
         writer = csv.writer(handle)
         writer.writerow(["pattern", "support", "relative_support", "class"])
         for row in rows:
+            pattern = alphabet.render(row.symbols)
             for class_name in sorted(row.per_class):
                 support, rel = row.per_class[class_name]
-                writer.writerow(
-                    [alphabet.render(row.symbols), support, rel, class_name]
-                )
+                writer.writerow([pattern, support, rel, class_name])

@@ -17,7 +17,7 @@ from datetime import date, timedelta
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from .classify import CLASS_NAMES, OrdinalClass, RuleConfig, classify
+from .classify import CLASS_NAMES, FieldCheck, OrdinalClass, RuleConfig, check_fields, classify
 from .engagement import (
     DEFAULT_PASSING_THRESHOLD,
     StudentAggregate,
@@ -73,6 +73,15 @@ class RunManifest:
 
 _RUN_KEYS = {"manifest", "cohorts", "rules", "passing_threshold", "gap_minutes", "anchors"}
 _COHORT_KEYS = {"pattern", "modality", "term"}
+# The types of the keys that hold structure; checked_gap and
+# checked_passing_threshold check the two numbers.
+_RUN_CHECKS: dict[str, FieldCheck] = {
+    "manifest": ((str, type(None)), None),
+    "cohorts": ((list,), None),
+    "rules": ((dict,), None),
+    "anchors": ((dict, type(None)), None),
+}
+_COHORT_CHECKS: dict[str, FieldCheck] = {"pattern": ((str,), None), "term": ((str, int), None)}
 
 
 def checked_gap(minutes) -> timedelta:
@@ -111,6 +120,10 @@ def load_run_manifest(path: Union[str, Path]) -> RunManifest:
     unknown = set(obj) - _RUN_KEYS
     if unknown:
         raise InputError(f"{path}: unknown run config keys: {sorted(unknown)}")
+    try:
+        check_fields(obj, _RUN_CHECKS)
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}")
 
     manifest = None
     if obj.get("manifest"):
@@ -129,7 +142,10 @@ def load_run_manifest(path: Union[str, Path]) -> RunManifest:
         if unknown:
             raise InputError(f"{path}: cohorts[{i}] unknown keys: {sorted(unknown)}")
         try:
+            check_fields(entry, _COHORT_CHECKS)
             compiled = re.compile(entry["pattern"])
+        except ValueError as exc:
+            raise InputError(f"{path}: cohorts[{i}] {exc}")
         except (KeyError, re.error) as exc:
             raise InputError(f"{path}: cohorts[{i}] bad pattern ({exc})")
         modality = entry.get("modality", "online")

@@ -8,7 +8,6 @@ import pytest
 
 from edxmine.events import (
     Event,
-    EventSource,
     EventType,
     ProblemPayload,
     VideoPayload,
@@ -43,7 +42,6 @@ def video_event(
         session_id=session,
         timestamp=at(t),
         event_type=etype,
-        source=EventSource.BROWSER,
         payload=VideoPayload(
             video_id=video,
             duration=duration,
@@ -71,7 +69,6 @@ def problem_event(
         session_id=session,
         timestamp=at(t),
         event_type=classify_event_type(name),
-        source=EventSource.BROWSER,
         payload=ProblemPayload(problem_id=problem, grade=grade, max_grade=max_grade),
     )
 
@@ -90,7 +87,6 @@ def bare_event(
         session_id=session,
         timestamp=at(t),
         event_type=classify_event_type(name),
-        source=EventSource.BROWSER,
         payload=None,
     )
 

@@ -1,0 +1,226 @@
+"""The reference line parser: edxmine's earlier ``parse_line``, kept as the
+oracle that the fast parser in ``edxmine.events`` must agree with.
+
+This is the parser as it stood before events became slotted and lost their
+``source``, with its helpers, copied as they were. Two things differ:
+
+* it returns a plain tuple (see :func:`typed`) instead of building objects,
+  so each field is compared with its type and the timestamp with its tzinfo;
+* ``parse_timestamp`` treats an instant that leaves ``datetime``'s range when
+  moved to UTC as unparseable. The earlier parser raised ``OverflowError``
+  there, which crashed the run.
+
+Do not speed this file up: its worth is that it is the slow, obvious form.
+"""
+
+from __future__ import annotations
+
+import enum
+import json
+import math
+import re
+from datetime import datetime, timezone
+from typing import Optional, Union
+
+from edxmine.events import EventFamily, EventType, classify_event_type
+
+
+def typed(value) -> tuple[str, str]:
+    """``value`` with its exact type, so that 1, 1.0, True and "1" differ,
+    and so do 0.0 and -0.0."""
+    return (type(value).__name__, repr(value))
+
+
+def timestamp_fields(ts: datetime) -> tuple:
+    """A timestamp as its wall-clock fields plus its tzinfo: two aware
+    datetimes for the same instant compare equal, these tuples do not."""
+    return (repr(ts), repr(ts.tzinfo))
+
+
+class EventSource(enum.Enum):
+    BROWSER = "browser"
+    SERVER = "server"
+    OTHER = "other"
+
+    @classmethod
+    def from_raw(cls, raw) -> "EventSource":
+        if raw == "browser":
+            return cls.BROWSER
+        if raw == "server":
+            return cls.SERVER
+        return cls.OTHER
+
+
+_FRACTION = re.compile(r"\.(\d+)")
+
+
+def parse_timestamp(raw) -> Optional[datetime]:
+    if not isinstance(raw, str) or not raw:
+        return None
+    text = raw[:-1] + "+00:00" if raw.endswith("Z") else raw
+    try:
+        ts = datetime.fromisoformat(text)
+    except ValueError:
+        normalized = _FRACTION.sub(lambda m: "." + m.group(1)[:6].ljust(6, "0"), text, count=1)
+        try:
+            ts = datetime.fromisoformat(normalized)
+        except ValueError:
+            return None
+    if ts.tzinfo is None:
+        ts = ts.replace(tzinfo=timezone.utc)
+    else:
+        try:
+            ts = ts.astimezone(timezone.utc)
+        except OverflowError:  # the earlier parser raised here
+            return None
+    return ts.replace(microsecond=ts.microsecond // 1000 * 1000)
+
+
+def _as_float(value) -> Optional[float]:
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        return None
+    try:
+        num = float(value)
+    except (ValueError, OverflowError):
+        return None
+    return num if math.isfinite(num) else None
+
+
+def _nonneg(value) -> Optional[float]:
+    num = _as_float(value)
+    return num if num is not None and num >= 0 else None
+
+
+def _positive(value) -> Optional[float]:
+    num = _as_float(value)
+    return num if num is not None and num > 0 else None
+
+
+def _as_id(value) -> Optional[str]:
+    if isinstance(value, str) and value:
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return str(value)
+    return None
+
+
+def _as_bool(value) -> Optional[bool]:
+    if isinstance(value, bool):
+        return value
+    if value == "correct":
+        return True
+    if value == "incorrect":
+        return False
+    return None
+
+
+def _video_payload(etype: EventType, raw: dict) -> Optional[tuple]:
+    video_id = _as_id(raw.get("id")) or _as_id(raw.get("video_id"))
+    if video_id is None:
+        return None
+    current = raw.get("currentTime")
+    if current is None:
+        current = raw.get("current_time")
+    return (
+        "VideoPayload",
+        typed(video_id),
+        typed(_nonneg(raw.get("duration"))),
+        typed(_nonneg(current)),
+        typed(_nonneg(raw.get("old_time")) if etype is EventType.SEEK_VIDEO else None),
+        typed(_nonneg(raw.get("new_time")) if etype is EventType.SEEK_VIDEO else None),
+        typed(_positive(raw.get("new_speed")) if etype is EventType.SPEED_CHANGE else None),
+    )
+
+
+def _problem_payload(raw: dict) -> Optional[tuple]:
+    problem_id = _as_id(raw.get("problem_id")) or _as_id(raw.get("id"))
+    if problem_id is None:
+        return None
+    grade = _nonneg(raw.get("grade"))
+    max_grade = _positive(raw.get("max_grade"))
+    if grade is not None and max_grade is not None and grade > max_grade:
+        grade = max_grade = None
+    attempts = raw.get("attempts")
+    if not isinstance(attempts, int) or isinstance(attempts, bool) or attempts < 0:
+        attempts = None
+    return (
+        "ProblemPayload",
+        typed(problem_id),
+        typed(grade),
+        typed(max_grade),
+        typed(_as_bool(raw.get("success"))),
+        typed(attempts),
+    )
+
+
+def reference_outcome(text: Union[str, bytes]) -> tuple:
+    """The outcome of one raw line: ``("malformed", reason)``,
+    ``("filtered", reason)``, or ``("event", None, user_id, course_id,
+    org_id, session_id, timestamp, event_type, payload)`` with every field
+    from :func:`typed` or :func:`timestamp_fields`."""
+    try:
+        obj = json.loads(text)
+    except (ValueError, UnicodeDecodeError, RecursionError):
+        return ("malformed", "invalid json")
+    if not isinstance(obj, dict):
+        return ("malformed", "not an object")
+
+    name = obj.get("event_type")
+    if not isinstance(name, str) or not name:
+        name = obj.get("name")
+    if not isinstance(name, str) or not name:
+        return ("malformed", "missing event type")
+
+    etype = classify_event_type(name)
+    if etype is EventType.OTHER:
+        return ("filtered", "event_type")
+
+    source = EventSource.from_raw(obj.get("event_source"))
+    if source is not EventSource.BROWSER:
+        return ("filtered", "source")
+
+    context = obj.get("context")
+    if not isinstance(context, dict):
+        context = {}
+    user_id = (
+        _as_id(context.get("user_id"))
+        or _as_id(obj.get("user_id"))
+        or _as_id(obj.get("username"))
+    )
+    if user_id is None:
+        return ("malformed", "missing user")
+    course_id = _as_id(context.get("course_id")) or _as_id(obj.get("course_id"))
+    if course_id is None:
+        return ("malformed", "missing course")
+    org_id = _as_id(context.get("org_id")) or _as_id(obj.get("org_id")) or ""
+
+    timestamp = parse_timestamp(obj.get("time")) or parse_timestamp(obj.get("timestamp"))
+    if timestamp is None:
+        return ("malformed", "missing or bad timestamp")
+
+    session_id = _as_id(obj.get("session")) or _as_id(obj.get("session_id"))
+
+    raw_payload = obj.get("event")
+    if isinstance(raw_payload, str):
+        try:
+            raw_payload = json.loads(raw_payload)
+        except (ValueError, RecursionError):
+            raw_payload = None
+    payload = None
+    if isinstance(raw_payload, dict):
+        if etype.family is EventFamily.VIDEO:
+            payload = _video_payload(etype, raw_payload)
+        else:
+            payload = _problem_payload(raw_payload)
+
+    return (
+        "event",
+        None,
+        typed(user_id),
+        typed(course_id),
+        typed(org_id),
+        typed(session_id),
+        timestamp_fields(timestamp),
+        etype.value,
+        payload,
+    )

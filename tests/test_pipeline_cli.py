@@ -13,7 +13,7 @@ import pytest
 
 import edxmine
 from edxmine.cli import main
-from edxmine.manifest import manifest_to_dict
+from edxmine.manifest import BlockKind, manifest_to_dict
 from edxmine.pipeline import (
     CohortRule,
     InputError,
@@ -211,15 +211,34 @@ class TestRunPipeline:
 
     def test_shards_give_same_bytes_as_whole_log(self, small_corpus, tmp_path):
         run = load_run_manifest(small_corpus["run_config"])
+        course = small_corpus["spec"].manifest.course_id
+        video = next(b.block_id for _, b in small_corpus["spec"].manifest.iter_blocks()
+                     if b.kind is BlockKind.VIDEO)
+
+        def tied(name, user, org="SYN"):
+            return raw_line(
+                name, user=user, course=course, org=org, session=f"{user}-s",
+                time="2021-09-01T10:00:00.500Z",
+                event={"id": video, "currentTime": 3.0, "duration": 60.0},
+            )
+
+        # Pairs of events in one millisecond: a play and a pause for three
+        # users, and two loads that differ only in org_id. The whole log
+        # holds each pair in one order, the shards in the other.
+        pairs = [(tied("play_video", u), tied("pause_video", u)) for u in ("tie-1", "tie-2", "tie-3")]
+        pairs.append((tied("load_video", "tie-1", "GTX"), tied("load_video", "tie-1", "MITx")))
+        firsts, seconds = (list(side) for side in zip(*pairs))
         # Alternate lines, read in the other order: no event keeps its place.
         lines = small_corpus["events"].read_text().splitlines()
+        whole = tmp_path / "whole.log"
+        whole.write_text("\n".join(lines + [line for pair in pairs for line in pair]) + "\n")
         shard_a = tmp_path / "a.log"
         shard_b = tmp_path / "b.log"
-        shard_a.write_text("\n".join(lines[0::2]) + "\n")
-        shard_b.write_text("\n".join(lines[1::2]) + "\n")
+        shard_a.write_text("\n".join(lines[0::2] + firsts) + "\n")
+        shard_b.write_text("\n".join(lines[1::2] + seconds) + "\n")
 
         outputs = {}
-        for name, logs in (("whole", [small_corpus["events"]]), ("shards", [shard_b, shard_a])):
+        for name, logs in (("whole", [whole]), ("shards", [shard_b, shard_a])):
             out = tmp_path / name
             files = run_pipeline(run, logs, out).files
             files.update(run_mining(run, logs, out / "classifications.csv", out, max_len=3))
@@ -453,6 +472,31 @@ class TestCli:
         err = capsys.readouterr().err
         assert "gap_minutes" in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            ('{"cohorts": [{"pattern": 5}]}', "pattern"),
+            ('{"cohorts": 5}', "cohorts"),
+            ('{"cohorts": [{"pattern": ".*", "term": null}]}', "term"),
+            ('{"anchors": ["x"]}', "anchors"),
+            ('{"manifest": 5}', "manifest"),
+            ('{"rules": {"no_show_total": "3"}}', "no_show_total"),
+            ('{"rules": {"ratio_threshold": NaN}}', "ratio_threshold"),
+            ('{"rules": {"order_min": true}}', "order_min"),
+        ],
+    )
+    def test_pipeline_config_of_wrong_type_exits_two(self, tmp_path, capsys, config, key):
+        log = tmp_path / "events.log"
+        log.write_text(raw_line() + "\n")
+        path = tmp_path / "run.json"
+        path.write_text(config)
+        out = tmp_path / "out"
+        code = main(["pipeline", str(log), "--run-config", str(path), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and key in err[0], err
         assert not out.exists()
 
     def test_gap_and_threshold_flags_override_config(self, small_corpus, tmp_path, capsys):
