@@ -69,6 +69,7 @@ print("\ntallies:", stats.as_dict())
 assert stats.lines_read == stats.parsed + stats.malformed
 assert stats.parsed == stats.retained + stats.filtered_out
 
-# Retained events round-trip through a canonical one-line JSON form.
+# A retained event has a canonical one-line JSON form; it also orders events
+# that share a timestamp.
 event = parse_line(lines[0])
 print("\ncanonical form:", event_to_json(event))

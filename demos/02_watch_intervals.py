@@ -16,7 +16,7 @@ T0 = datetime(2021, 8, 26, 10, 0, tzinfo=timezone.utc)
 
 def ev(etype, t, **payload):
     return Event(
-        user_id="u1", course_id="c1", org_id="GTX", session_id=None,
+        user_id="u1", course_id="c1", session_id=None,
         timestamp=T0 + timedelta(seconds=t),
         event_type=EventType(etype),
         payload=VideoPayload(video_id="v1", **payload),

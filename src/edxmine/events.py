@@ -20,14 +20,6 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator, Optional, Union
 
 
-class EventFamily(enum.Enum):
-    """Broad interaction family an event type belongs to."""
-
-    VIDEO = "video"
-    PROBLEM = "problem"
-    OTHER = "other"
-
-
 class EventType(enum.Enum):
     """Retained tracking-log event types, plus a catch-all ``OTHER``.
 
@@ -51,10 +43,6 @@ class EventType(enum.Enum):
     PROBLEM_CHECK = "problem_check"
     OTHER = "other"
 
-    @property
-    def family(self) -> EventFamily:
-        return _FAMILY[self]
-
 
 _VIDEO_TYPES = frozenset(
     {
@@ -68,24 +56,6 @@ _VIDEO_TYPES = frozenset(
         EventType.SPEED_CHANGE,
     }
 )
-
-_PROBLEM_TYPES = frozenset(
-    {
-        EventType.PROBLEM_SHOW,
-        EventType.PROBLEM_GRADED,
-        EventType.SAVE_PROBLEM_SUCCESS,
-        EventType.SAVE_PROBLEM_FAIL,
-        EventType.PROBLEM_CHECK_FAIL,
-        EventType.SHOWANSWER,
-        EventType.PROBLEM_CHECK,
-    }
-)
-
-_FAMILY = {
-    **{t: EventFamily.VIDEO for t in _VIDEO_TYPES},
-    **{t: EventFamily.PROBLEM for t in _PROBLEM_TYPES},
-    EventType.OTHER: EventFamily.OTHER,
-}
 
 #: Retained event names, in enum declaration order.
 RETAINED_EVENT_TYPES: tuple[EventType, ...] = tuple(
@@ -107,7 +77,6 @@ class VideoPayload:
     current_time: Optional[float] = None
     old_time: Optional[float] = None  # seek only
     new_time: Optional[float] = None  # seek only
-    new_speed: Optional[float] = None  # speed_change only
 
 
 @dataclass(slots=True)
@@ -115,8 +84,6 @@ class ProblemPayload:
     problem_id: str
     grade: Optional[float] = None
     max_grade: Optional[float] = None
-    success: Optional[bool] = None
-    attempts: Optional[int] = None
 
 
 Payload = Union[VideoPayload, ProblemPayload]
@@ -124,12 +91,12 @@ Payload = Union[VideoPayload, ProblemPayload]
 
 @dataclass(slots=True)
 class Event:
-    """One retained, typed log record. Every retained event comes from the
-    browser, so the source is not kept."""
+    """One retained, typed log record, holding only fields that some
+    computation reads. Every retained event comes from the browser, so the
+    source is not kept."""
 
     user_id: str
     course_id: str
-    org_id: str
     session_id: Optional[str]
     timestamp: datetime
     event_type: EventType
@@ -182,8 +149,6 @@ class ParseStats:
             malformed=self.malformed + other.malformed,
             filtered_out=self.filtered_out + other.filtered_out,
         )
-
-    __add__ = merge
 
     def as_dict(self) -> dict:
         return {
@@ -238,7 +203,10 @@ def parse_timestamp(raw) -> Optional[datetime]:
 
 
 def format_timestamp(ts: datetime) -> str:
-    return ts.strftime("%Y-%m-%dT%H:%M:%S.") + f"{ts.microsecond // 1000:03d}Z"
+    """``ts``'s wall clock as ``YYYY-MM-DDTHH:MM:SS.mmmZ``, the year always
+    four digits."""
+    # isoformat zero-pads the year, where strftime("%Y") gives "999".
+    return ts.isoformat(timespec="milliseconds")[:23] + "Z"
 
 
 def _as_float(value) -> Optional[float]:
@@ -280,16 +248,6 @@ def _as_id(value) -> Optional[str]:
     return None
 
 
-def _as_bool(value) -> Optional[bool]:
-    if type(value) is bool:
-        return value
-    if value == "correct":
-        return True
-    if value == "incorrect":
-        return False
-    return None
-
-
 def _video_payload(etype: EventType, raw: dict) -> Optional[VideoPayload]:
     video_id = _as_id(raw.get("id")) or _as_id(raw.get("video_id"))
     if video_id is None:
@@ -297,15 +255,11 @@ def _video_payload(etype: EventType, raw: dict) -> Optional[VideoPayload]:
     current = raw.get("currentTime")
     if current is None:
         current = raw.get("current_time")
-    old_time = new_time = new_speed = None
+    old_time = new_time = None
     if etype is EventType.SEEK_VIDEO:
         old_time = _nonneg(raw.get("old_time"))
         new_time = _nonneg(raw.get("new_time"))
-    elif etype is EventType.SPEED_CHANGE:
-        new_speed = _positive(raw.get("new_speed"))
-    return VideoPayload(
-        video_id, _nonneg(raw.get("duration")), _nonneg(current), old_time, new_time, new_speed
-    )
+    return VideoPayload(video_id, _nonneg(raw.get("duration")), _nonneg(current), old_time, new_time)
 
 
 def _problem_payload(raw: dict) -> Optional[ProblemPayload]:
@@ -316,10 +270,7 @@ def _problem_payload(raw: dict) -> Optional[ProblemPayload]:
     max_grade = _positive(raw.get("max_grade"))
     if grade is not None and max_grade is not None and grade > max_grade:
         grade = max_grade = None  # inconsistent pair, treat as unscored
-    attempts = raw.get("attempts")
-    if type(attempts) is not int or attempts < 0:
-        attempts = None
-    return ProblemPayload(problem_id, grade, max_grade, _as_bool(raw.get("success")), attempts)
+    return ProblemPayload(problem_id, grade, max_grade)
 
 
 _decode = json.JSONDecoder().decode
@@ -384,7 +335,6 @@ def parse_line(text: Union[str, bytes]) -> ParseOutcome:
     course_id = _as_id(context.get("course_id")) or _as_id(obj.get("course_id"))
     if course_id is None:
         return _MISSING_COURSE
-    org_id = _as_id(context.get("org_id")) or _as_id(obj.get("org_id")) or ""
 
     timestamp = parse_timestamp(obj.get("time")) or parse_timestamp(obj.get("timestamp"))
     if timestamp is None:
@@ -406,78 +356,24 @@ def parse_line(text: Union[str, bytes]) -> ParseOutcome:
         else:
             payload = _problem_payload(raw_payload)
 
-    return Event(user_id, course_id, org_id, session_id, timestamp, etype, payload)
-
-
-_PAYLOAD_FIELDS = (
-    "video_id",
-    "duration",
-    "current_time",
-    "old_time",
-    "new_time",
-    "new_speed",
-    "problem_id",
-    "grade",
-    "max_grade",
-    "success",
-    "attempts",
-)
+    return Event(user_id, course_id, session_id, timestamp, etype, payload)
 
 
 def event_to_json(event: Event) -> str:
-    """Serialize an event to its canonical flat one-line JSON form."""
-    obj: dict = {
-        "user_id": event.user_id,
-        "course_id": event.course_id,
-        "org_id": event.org_id,
-    }
+    """Serialize an event to its canonical flat one-line JSON form, which is
+    also the order of events that share a timestamp."""
+    obj: dict = {"user_id": event.user_id, "course_id": event.course_id}
     if event.session_id is not None:
         obj["session_id"] = event.session_id
     obj["timestamp"] = format_timestamp(event.timestamp)
     obj["event_type"] = event.event_type.value
     payload = event.payload
     if payload is not None:
-        for name in _PAYLOAD_FIELDS:
-            value = getattr(payload, name, None)
+        for name in payload.__slots__:
+            value = getattr(payload, name)
             if value is not None:
                 obj[name] = value
     return json.dumps(obj, separators=(",", ":"))
-
-
-def event_from_json(line: Union[str, bytes]) -> Event:
-    """Rebuild an event from its canonical serialized form."""
-    obj = json.loads(line)
-    etype = classify_event_type(obj["event_type"])
-    timestamp = parse_timestamp(obj["timestamp"])
-    if timestamp is None:
-        raise ValueError(f"bad timestamp in serialized event: {obj['timestamp']!r}")
-    payload: Optional[Payload] = None
-    if "video_id" in obj:
-        payload = VideoPayload(
-            video_id=obj["video_id"],
-            duration=obj.get("duration"),
-            current_time=obj.get("current_time"),
-            old_time=obj.get("old_time"),
-            new_time=obj.get("new_time"),
-            new_speed=obj.get("new_speed"),
-        )
-    elif "problem_id" in obj:
-        payload = ProblemPayload(
-            problem_id=obj["problem_id"],
-            grade=obj.get("grade"),
-            max_grade=obj.get("max_grade"),
-            success=obj.get("success"),
-            attempts=obj.get("attempts"),
-        )
-    return Event(
-        user_id=obj["user_id"],
-        course_id=obj["course_id"],
-        org_id=obj.get("org_id", ""),
-        session_id=obj.get("session_id"),
-        timestamp=timestamp,
-        event_type=etype,
-        payload=payload,
-    )
 
 
 def open_log(path: Union[str, Path]) -> IO[bytes]:
@@ -488,32 +384,23 @@ def open_log(path: Union[str, Path]) -> IO[bytes]:
     return open(path, "rb")
 
 
-def iter_outcomes(path: Union[str, Path]) -> Iterator[ParseOutcome]:
-    """Parse every line of a log file. A gzip stream that ends early or is
-    corrupt raises :class:`gzip.BadGzipFile` naming the file."""
-    with open_log(path) as handle:
-        try:
-            for line in handle:
-                yield parse_line(line)
-        except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
-            raise gzip.BadGzipFile(f"{path}: truncated or corrupt gzip data ({exc})") from exc
-
-
 def iter_events(
     path: Union[str, Path], stats: Optional[ParseStats] = None
 ) -> Iterator[Event]:
-    """Yield retained events from a log file, tallying every line into ``stats``."""
-    for outcome in iter_outcomes(path):
-        if stats is not None:
-            stats.record(outcome)
-        if isinstance(outcome, Event):
-            yield outcome
+    """Yield retained events from a log file, tallying every line into
+    ``stats``. A gzip stream that ends early or is corrupt raises
+    :class:`gzip.BadGzipFile` naming the file."""
+    with open_log(path) as handle:
+        try:
+            yield from parse_events(handle, stats)
+        except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+            raise gzip.BadGzipFile(f"{path}: truncated or corrupt gzip data ({exc})") from exc
 
 
 def parse_events(
     lines: Iterable[Union[str, bytes]], stats: Optional[ParseStats] = None
 ) -> Iterator[Event]:
-    """Like :func:`iter_events` but over an in-memory iterable of lines."""
+    """Yield retained events from raw lines, tallying every line into ``stats``."""
     for line in lines:
         outcome = parse_line(line)
         if stats is not None:

@@ -388,14 +388,20 @@ def run_pipeline(
 
 
 def read_classifications(path: Union[str, Path]) -> dict[tuple[str, str], str]:
-    """(user_id, course_id) -> class name from a pipeline classifications.csv."""
+    """(user_id, course_id) -> class name from a pipeline classifications.csv.
+    A file that is not UTF-8 CSV with those three columns is an input error."""
     path = Path(path)
     if not path.exists():
         raise InputError(f"classifications file not found: {path}")
     out: dict[tuple[str, str], str] = {}
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        for row in csv.DictReader(handle):
-            out[(row["user_id"], row["course_id"])] = row["class"]
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            for row in csv.DictReader(handle):
+                out[(row["user_id"], row["course_id"])] = row["class"]
+    except KeyError as exc:
+        raise InputError(f"{path}: classifications file has no {exc} column")
+    except (ValueError, csv.Error) as exc:  # ValueError includes UnicodeDecodeError
+        raise InputError(f"{path}: unreadable classifications file ({exc})")
     return out
 
 

@@ -31,6 +31,7 @@ from .manifest import (
     manifest_to_dict,
     parse_manifest,
 )
+from .pipeline import InputError
 
 MARGIN = 0.05
 
@@ -67,6 +68,12 @@ class CorpusSpec:
     term_start: date
     weeks: int
     seed: int
+
+    def __post_init__(self) -> None:
+        if self.weeks < 1:
+            raise ValueError("weeks must be >= 1")
+        if sum(p.n_users for p in self.personas) < 1:
+            raise ValueError("corpus must contain at least one user")
 
 
 @dataclass
@@ -534,10 +541,6 @@ def generate_corpus(
     Every persona is validated first; an out-of-region range raises
     :class:`AmbiguousPersonaError` before anything is generated.
     """
-    if spec.weeks < 1:
-        raise ValueError("weeks must be >= 1")
-    if sum(p.n_users for p in spec.personas) < 1:
-        raise ValueError("corpus must contain at least one user")
     for persona in spec.personas:
         validate_persona(persona, cfg, passing_threshold)
 
@@ -641,7 +644,16 @@ def corpus_spec_from_dict(obj: dict, base_dir: Optional[Path] = None) -> CorpusS
 
 
 def load_corpus_spec(path: Union[str, Path]) -> CorpusSpec:
+    """Load a corpus spec JSON file. Text that is not JSON, or a spec with a
+    missing or mistyped key, raises :class:`InputError` naming the file."""
     path = Path(path)
-    with open(path, "r", encoding="utf-8") as handle:
-        obj = json.load(handle)
-    return corpus_spec_from_dict(obj, base_dir=path.parent)
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            obj = json.load(handle)
+        if not isinstance(obj, dict):
+            raise TypeError("corpus spec must be a JSON object")
+        return corpus_spec_from_dict(obj, base_dir=path.parent)
+    except KeyError as exc:
+        raise InputError(f"{path}: corpus spec lacks the key {exc}")
+    except (TypeError, ValueError) as exc:  # ValueError includes JSON and manifest errors
+        raise InputError(f"{path}: bad corpus spec ({exc})")

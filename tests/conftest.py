@@ -38,7 +38,6 @@ def video_event(
     return Event(
         user_id=user,
         course_id=course,
-        org_id="ORG",
         session_id=session,
         timestamp=at(t),
         event_type=etype,
@@ -65,7 +64,6 @@ def problem_event(
     return Event(
         user_id=user,
         course_id=course,
-        org_id="ORG",
         session_id=session,
         timestamp=at(t),
         event_type=classify_event_type(name),
@@ -83,7 +81,6 @@ def bare_event(
     return Event(
         user_id=user,
         course_id=course,
-        org_id="ORG",
         session_id=session,
         timestamp=at(t),
         event_type=classify_event_type(name),

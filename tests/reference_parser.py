@@ -2,7 +2,9 @@
 oracle that the fast parser in ``edxmine.events`` must agree with.
 
 This is the parser as it stood before events became slotted and lost their
-``source``, with its helpers, copied as they were. Two things differ:
+``source``, with its helpers, copied as they were. It still reads the
+fields that events no longer keep (``org_id``, ``new_speed``, ``success`` and
+``attempts``); the fuzz test drops them before comparing. Two things differ:
 
 * it returns a plain tuple (see :func:`typed`) instead of building objects,
   so each field is compared with its type and the timestamp with its tzinfo;
@@ -22,7 +24,14 @@ import re
 from datetime import datetime, timezone
 from typing import Optional, Union
 
-from edxmine.events import EventFamily, EventType, classify_event_type
+from edxmine.events import EventType, classify_event_type
+
+_VIDEO_TYPE_NAMES = frozenset(
+    {
+        "load_video", "play_video", "pause_video", "seek_video", "stop_video",
+        "complete_video", "hide_transcript", "speed_change",
+    }
+)
 
 
 def typed(value) -> tuple[str, str]:
@@ -208,7 +217,7 @@ def reference_outcome(text: Union[str, bytes]) -> tuple:
             raw_payload = None
     payload = None
     if isinstance(raw_payload, dict):
-        if etype.family is EventFamily.VIDEO:
+        if etype.value in _VIDEO_TYPE_NAMES:
             payload = _video_payload(etype, raw_payload)
         else:
             payload = _problem_payload(raw_payload)

@@ -62,6 +62,22 @@ def small_corpus(tmp_path_factory):
     }
 
 
+def _tied_lines(corpus: dict):
+    """A builder of raw lines for ``corpus``'s course, all in one millisecond,
+    with a video id, a graded problem id and a half-marks payload for it."""
+    manifest = corpus["spec"].manifest
+    blocks = [b for _, b in manifest.iter_blocks()]
+
+    def tied(name, user, event, org="SYN"):
+        return raw_line(name, user=user, course=manifest.course_id, org=org,
+                        session=f"{user}-s", time="2021-09-01T10:00:00.500Z", event=event)
+
+    tied.video = next(b.block_id for b in blocks if b.kind is BlockKind.VIDEO)
+    tied.problem = next(b.block_id for b in blocks if b.kind is BlockKind.GRADED_PROBLEM)
+    tied.graded = {"problem_id": tied.problem, "grade": 1, "max_grade": 2}
+    return tied
+
+
 class TestRunManifestLoading:
     def test_load(self, small_corpus):
         run = load_run_manifest(small_corpus["run_config"])
@@ -248,6 +264,85 @@ class TestRunPipeline:
         assert set(outputs["whole"]) < set(outputs["shards"])
         for name, path in outputs["whole"].items():
             assert path.read_bytes() == outputs["shards"][name].read_bytes(), name
+
+    def test_fields_no_analysis_reads_leave_outputs_alone(self, small_corpus, tmp_path):
+        # Two logs that differ only in org_id, new_speed, success and
+        # attempts. tie-1 and tie-2 are the ties those fields could decide:
+        # an ungraded check with an attempt counter tied with a graded one,
+        # and the same two checks from two organizations.
+        run = load_run_manifest(small_corpus["run_config"])
+        tied = _tied_lines(small_corpus)
+        outputs = {}
+        for flip in (False, True):
+            first, second = ("AAA", "ZZZ") if flip else ("ZZZ", "AAA")
+            ungraded = {"problem_id": tied.problem, **({"attempts": 1} if flip else {})}
+            speed = {"id": tied.video, "currentTime": 3.0, **({"new_speed": 1.5} if flip else {})}
+            lines = [
+                tied("problem_check_fail", "tie-1", ungraded),
+                tied("problem_check_fail", "tie-1", tied.graded),
+                tied("problem_check_fail", "tie-2", {"problem_id": tied.problem}, org=first),
+                tied("problem_check_fail", "tie-2", tied.graded, org=second),
+                tied("speed_change", "tie-3", speed),
+                tied("problem_check", "tie-3", dict(tied.graded, success="correct" if flip else False)),
+            ]
+            # The same log path for both runs, so run_meta.json may not differ either.
+            log = tmp_path / "events.log"
+            log.write_text("\n".join(small_corpus["corpus"].lines + lines) + "\n")
+            out = tmp_path / f"out-{flip}"
+            files = run_pipeline(run, [log], out).files
+            files.update(run_mining(run, [log], out / "classifications.csv", out, max_len=3,
+                                    min_support=1, split_check_outcome=True))
+            outputs[flip] = {name: path.read_bytes() for name, path in files.items()}
+        assert outputs[False] == outputs[True]
+
+        # A tie is ordered by the canonical form without the unread fields:
+        # the graded check comes first, so it is the first score.
+        aggregates = [json.loads(line) for line in outputs[True]["aggregates"].splitlines()]
+        for user in ("tie-1", "tie-2"):
+            agg = next(a for a in aggregates if a["user_id"] == user)
+            assert (agg["mean_first_score"], agg["mean_final_score"]) == (0.5, 0.0)
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_outputs_are_strict_json_and_whole_csv_rows(self, small_corpus, tmp_path, fmt):
+        run = load_run_manifest(small_corpus["run_config"])
+        tied = _tied_lines(small_corpus)
+        non_finite = ["NaN", "Infinity", "-Infinity", "1e400", '"NaN"', '"Infinity"']
+        added = []
+        for i, value in enumerate(non_finite):
+            user = f"odd-{i}"
+            lines = [
+                tied("problem_check", user, {"problem_id": tied.problem, "grade": "@", "max_grade": "@"}),
+                tied("problem_check", user, {"problem_id": tied.problem, "grade": 1, "max_grade": "@"}),
+                tied("play_video", user, {"id": tied.video, "currentTime": 0, "duration": "@"}),
+                tied("pause_video", user, {"id": tied.video, "currentTime": "@", "duration": 60}),
+            ]
+            added += [line.replace('"@"', value) for line in lines]
+        log = tmp_path / "events.log"
+        log.write_text("\n".join(small_corpus["corpus"].lines + added) + "\n")
+        assert "NaN" in log.read_text() and "Infinity" in log.read_text()
+        out = tmp_path / "out"
+        run_pipeline(run, [log], out, fmt=fmt)
+        run_mining(run, [log], out / "classifications.csv", out, max_len=3, min_support=1,
+                   split_check_outcome=True)
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        written = sorted(out.iterdir())
+        assert len(written) == 17  # 8 from pipeline; from mine, 8 class tables and the contrast
+        for path in written:
+            text = path.read_text(encoding="utf-8")
+            if path.suffix == ".json":
+                json.loads(text, parse_constant=reject)
+            elif path.suffix == ".jsonl":
+                for line in text.splitlines():
+                    json.loads(line, parse_constant=reject)
+            else:
+                rows = list(csv.reader(text.splitlines()))
+                assert rows, path.name
+                for row in rows:
+                    assert len(row) == len(rows[0]), (path.name, row)
+                    assert not {field.lower() for field in row} & {"nan", "inf", "-inf"}, row
 
     def test_zero_event_input(self, tmp_path):
         empty = tmp_path / "empty.log"
@@ -640,6 +735,41 @@ class TestCli:
         err = capsys.readouterr().err
         assert "slacker" in err
         assert "at_risk" in err  # valid names listed
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"user_id,course_id,cohort\nu1,c1,online:all\n", b"user_id,course_id,cohort,class\n\xff,c1,x,at_risk\n"],
+        ids=["no-class-column", "not-utf-8"],
+    )
+    def test_mine_damaged_classifications_exits_two(self, small_corpus, tmp_path, capsys, content):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "classifications.csv").write_bytes(content)
+        code = main(["mine", str(small_corpus["events"]), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"edxmine: error: {out / 'classifications.csv'}: "), err
+        assert sorted(p.name for p in out.iterdir()) == ["classifications.csv"]
+
+    @pytest.mark.parametrize(
+        "damage", ["{}", "not json", "seed", "weeks", "term_start", "weeks=0", "personas=[]"]
+    )
+    def test_synth_unusable_spec_exits_two(self, tmp_path, capsys, damage):
+        doc = corpus_spec_to_dict(default_corpus_spec(users_per_class=1, seed=55))
+        key, _, value = damage.partition("=")
+        if value:
+            doc[key] = json.loads(value)
+        else:
+            doc.pop(key, None)
+        spec_path = tmp_path / "corpus.json"
+        spec_path.write_text(damage if damage in ("{}", "not json") else json.dumps(doc))
+        out = tmp_path / "synth"
+        assert main(["synth", "--spec", str(spec_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"edxmine: error: {spec_path}: "), err
+        if key in ("seed", "weeks", "term_start"):
+            assert key in err[0]
+        assert not out.exists()
 
     def test_synth_command(self, tmp_path, capsys):
         spec = default_corpus_spec(users_per_class=2, seed=55)
