@@ -37,7 +37,7 @@ CLASS_NAMES = tuple(c.value for c in OrdinalClass)
 FieldCheck = tuple[tuple[type, ...], Optional[float]]
 
 _TYPE_NAMES = {
-    str: "a string", int: "a number", float: "a number", bool: "true or false",
+    str: "a string", int: "an integer", float: "a number", bool: "true or false",
     list: "a list", dict: "an object", type(None): "null",
 }
 
@@ -63,9 +63,10 @@ def check_fields(obj: Mapping, checks: Mapping[str, FieldCheck]) -> None:
         types, least = checks[key]
         if _passes(value, types, least):
             continue
-        expected = " or ".join(dict.fromkeys(_TYPE_NAMES[t] for t in types))
+        # A number may be an integer, so "an integer" is named only alone.
+        expected = " or ".join(_TYPE_NAMES[t] for t in types if t is not int or float not in types)
         if least is not None:
-            expected = f"a finite number >= {least:g}"
+            expected = f"{'a finite number' if float in types else 'an integer'} >= {least:g}"
         raise ValueError(f"{key} must be {expected}, got {value!r}")
 
 

@@ -16,6 +16,7 @@ import re
 import zlib
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from json.scanner import make_scanner
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Optional, Union
 
@@ -162,6 +163,7 @@ class ParseStats:
 
 _FRACTION = re.compile(r"\.(\d+)")
 _UTC = timezone.utc
+_INF = math.inf
 _isfinite = math.isfinite
 
 
@@ -230,11 +232,15 @@ def _as_float(value) -> Optional[float]:
 
 
 def _nonneg(value) -> Optional[float]:
+    if type(value) is float:
+        return value if 0 <= value < _INF else None  # False for NaN
     num = _as_float(value)
     return num if num is not None and num >= 0 else None
 
 
 def _positive(value) -> Optional[float]:
+    if type(value) is float:
+        return value if 0 < value < _INF else None
     num = _as_float(value)
     return num if num is not None and num > 0 else None
 
@@ -248,7 +254,7 @@ def _as_id(value) -> Optional[str]:
     return None
 
 
-def _video_payload(etype: EventType, raw: dict) -> Optional[VideoPayload]:
+def _video_payload(etype: EventType, raw: dict, share) -> Optional[VideoPayload]:
     video_id = _as_id(raw.get("id")) or _as_id(raw.get("video_id"))
     if video_id is None:
         return None
@@ -259,10 +265,11 @@ def _video_payload(etype: EventType, raw: dict) -> Optional[VideoPayload]:
     if etype is EventType.SEEK_VIDEO:
         old_time = _nonneg(raw.get("old_time"))
         new_time = _nonneg(raw.get("new_time"))
-    return VideoPayload(video_id, _nonneg(raw.get("duration")), _nonneg(current), old_time, new_time)
+    duration = _nonneg(raw.get("duration"))
+    return VideoPayload(share(video_id, video_id), duration, _nonneg(current), old_time, new_time)
 
 
-def _problem_payload(raw: dict) -> Optional[ProblemPayload]:
+def _problem_payload(raw: dict, share) -> Optional[ProblemPayload]:
     problem_id = _as_id(raw.get("problem_id")) or _as_id(raw.get("id"))
     if problem_id is None:
         return None
@@ -270,12 +277,25 @@ def _problem_payload(raw: dict) -> Optional[ProblemPayload]:
     max_grade = _positive(raw.get("max_grade"))
     if grade is not None and max_grade is not None and grade > max_grade:
         grade = max_grade = None  # inconsistent pair, treat as unscored
-    return ProblemPayload(problem_id, grade, max_grade)
+    return ProblemPayload(share(problem_id, problem_id), grade, max_grade)
 
 
-_decode = json.JSONDecoder().decode
+_scan = make_scanner(json.JSONDecoder())
+_JSON_SPACE = " \t\n\r"
 _detect_encoding = json.detect_encoding
 _NO_CONTEXT: dict = {}
+
+
+def _loads(text: str):
+    """``json.loads(text)`` without its wrappers. Raises ValueError or
+    RecursionError as it does, and StopIteration when no value starts the
+    text."""
+    text = text.strip(_JSON_SPACE)
+    value, end = _scan(text, 0)
+    if end != len(text):
+        raise ValueError("extra data")
+    return value
+
 
 # The outcomes are frozen, so one instance per reason serves every line.
 _INVALID_JSON = Malformed("invalid json")
@@ -288,20 +308,28 @@ _OTHER_EVENT_TYPE = FilteredOut("event_type")
 _OTHER_SOURCE = FilteredOut("source")
 
 
-def parse_line(text: Union[str, bytes]) -> ParseOutcome:
+def parse_line(text: Union[str, bytes], memo: Optional[dict] = None) -> ParseOutcome:
     """Parse one raw log line.
 
     Returns an :class:`Event` iff the line is valid JSON, names a retained
     event type, comes from the browser, and carries non-empty user and
     course identifiers plus a parseable timestamp. Deterministic: the same
     byte line always yields the same outcome.
+
+    The event's user, course, session and content ids are looked up in
+    ``memo`` and added to it, so that the events of one parse hold one
+    string object per distinct id.
     """
     try:
         if type(text) is not str:
-            # Exactly what json.loads does with bytes, done here once.
-            text = text.decode(_detect_encoding(text), "surrogatepass")
-        obj = _decode(text)
-    except (ValueError, RecursionError):
+            # What json.loads does with bytes. json.detect_encoding can only
+            # answer UTF-8 for a line that opens with "{" and has no NUL next.
+            if text[:1] == b"{" and text[1:2] != b"\x00":
+                text = text.decode("utf-8", "surrogatepass")
+            else:
+                text = text.decode(_detect_encoding(text), "surrogatepass")
+        obj = _loads(text)
+    except (ValueError, RecursionError, StopIteration):
         # ValueError includes UnicodeDecodeError. RecursionError: nesting
         # deeper than the decoder's stack allows.
         return _INVALID_JSON
@@ -342,21 +370,30 @@ def parse_line(text: Union[str, bytes]) -> ParseOutcome:
 
     session_id = _as_id(obj.get("session")) or _as_id(obj.get("session_id"))
 
+    if memo is None:
+        memo = {}
+    # Only string ids are shared. Floats are not: 0.0 == -0.0, yet the two
+    # serialize differently, and that form orders tied events.
+    share = memo.setdefault
     raw_payload = obj.get("event")
     if type(raw_payload) is str:
         # Nested payloads sometimes arrive JSON-encoded; re-parse once.
         try:
-            raw_payload = _decode(raw_payload)
-        except (ValueError, RecursionError):
+            raw_payload = _loads(raw_payload)
+        except (ValueError, RecursionError, StopIteration):
             raw_payload = None
     payload: Optional[Payload] = None
     if type(raw_payload) is dict:
         if etype in _VIDEO_TYPES:
-            payload = _video_payload(etype, raw_payload)
+            payload = _video_payload(etype, raw_payload, share)
         else:
-            payload = _problem_payload(raw_payload)
+            payload = _problem_payload(raw_payload, share)
 
-    return Event(user_id, course_id, session_id, timestamp, etype, payload)
+    if session_id is not None:
+        session_id = share(session_id, session_id)
+    return Event(
+        share(user_id, user_id), share(course_id, course_id), session_id, timestamp, etype, payload
+    )
 
 
 def event_to_json(event: Event) -> str:
@@ -385,24 +422,31 @@ def open_log(path: Union[str, Path]) -> IO[bytes]:
 
 
 def iter_events(
-    path: Union[str, Path], stats: Optional[ParseStats] = None
+    path: Union[str, Path], stats: Optional[ParseStats] = None, memo: Optional[dict] = None
 ) -> Iterator[Event]:
     """Yield retained events from a log file, tallying every line into
-    ``stats``. A gzip stream that ends early or is corrupt raises
+    ``stats`` and sharing ids through ``memo`` (see :func:`parse_line`). A
+    gzip stream that ends early or is corrupt raises
     :class:`gzip.BadGzipFile` naming the file."""
     with open_log(path) as handle:
         try:
-            yield from parse_events(handle, stats)
+            yield from parse_events(handle, stats, memo)
         except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
             raise gzip.BadGzipFile(f"{path}: truncated or corrupt gzip data ({exc})") from exc
 
 
 def parse_events(
-    lines: Iterable[Union[str, bytes]], stats: Optional[ParseStats] = None
+    lines: Iterable[Union[str, bytes]],
+    stats: Optional[ParseStats] = None,
+    memo: Optional[dict] = None,
 ) -> Iterator[Event]:
-    """Yield retained events from raw lines, tallying every line into ``stats``."""
+    """Yield retained events from raw lines, tallying every line into
+    ``stats``. Equal ids share one string object across the lines, and
+    across calls given the same ``memo``."""
+    if memo is None:
+        memo = {}
     for line in lines:
-        outcome = parse_line(line)
+        outcome = parse_line(line, memo)
         if stats is not None:
             stats.record(outcome)
         if isinstance(outcome, Event):

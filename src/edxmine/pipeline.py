@@ -199,13 +199,15 @@ def parse_log_files(
     paths: Sequence[Union[str, Path]],
 ) -> tuple[ParseStats, list[Event], list[tuple[str, ParseStats]]]:
     """Parse many files in input order: the total tallies, every retained
-    event, and each file's tallies."""
+    event, and each file's tallies. Equal ids share one string object
+    across all the files."""
     total = ParseStats()
     events: list[Event] = []
     per_file = []
+    memo: dict[str, str] = {}
     for path in _existing(paths):
         stats = ParseStats()
-        events.extend(iter_events(path, stats))
+        events.extend(iter_events(path, stats, memo))
         total = total.merge(stats)
         per_file.append((str(path), stats))
     return total, events, per_file
@@ -217,9 +219,10 @@ def validate_files(
     """Streaming per-file parse tallies; events are discarded, not held."""
     total = ParseStats()
     per_file = []
+    memo: dict[str, str] = {}
     for path in _existing(paths):
         stats = ParseStats()
-        for _ in iter_events(path, stats):
+        for _ in iter_events(path, stats, memo):
             pass
         total = total.merge(stats)
         per_file.append((str(path), stats))

@@ -18,7 +18,7 @@ from datetime import date, datetime, time, timedelta, timezone
 from pathlib import Path
 from typing import Optional, Union
 
-from .classify import OrdinalClass, RuleConfig, DEFAULT_RULES
+from .classify import DEFAULT_RULES, FieldCheck, OrdinalClass, RuleConfig, check_fields
 from .engagement import DEFAULT_PASSING_THRESHOLD, _score_r_value
 from .events import format_timestamp
 from .manifest import (
@@ -606,7 +606,57 @@ def corpus_spec_to_dict(spec: CorpusSpec) -> dict:
     }
 
 
+# The JSON types of a corpus spec's values, with the least number allowed.
+# Values are checked, never coerced: "false" is not false and 2.9 is not 2.
+_SPEC_CHECKS: dict[str, FieldCheck] = {
+    "term_start": ((str,), None),
+    "weeks": ((int,), 1),
+    "seed": ((int,), None),
+    "personas": ((list,), None),
+}
+_PERSONA_CHECKS: dict[str, FieldCheck] = {
+    "target_class": ((str,), None),
+    "n_users": ((int,), 1),
+    "watch_before_problems": ((bool,), None),
+    "pacing": ((str,), None),
+    "seed_offset": ((int,), None),
+}
+# A range is a list of two values, each checked as listed.
+_RANGE_CHECKS: dict[str, FieldCheck] = {
+    "video_watch_range": ((int, float), None),
+    "videos_played_range": ((int,), None),
+    "problems_attempted_range": ((int,), None),
+    "attempts_per_problem_range": ((int,), None),
+    "first_score_range": ((int, float), None),
+}
+
+
+def _persona_from_dict(p) -> PersonaSpec:
+    if type(p) is not dict:
+        raise ValueError(f"a persona must be an object, got {p!r}")
+    check_fields(p, _PERSONA_CHECKS)
+    ranges = {}
+    for key, check in _RANGE_CHECKS.items():
+        value = p[key]
+        if type(value) is not list or len(value) != 2:
+            raise ValueError(f"{key} must be a list of two numbers, got {value!r}")
+        for end in value:
+            check_fields({key: end}, {key: check})
+        ranges[key] = tuple(value)
+    return PersonaSpec(
+        target_class=OrdinalClass(p["target_class"]),
+        n_users=p["n_users"],
+        watch_before_problems=p["watch_before_problems"],
+        pacing=p.get("pacing", PACING_SPREAD),
+        seed_offset=p.get("seed_offset", 0),
+        **ranges,
+    )
+
+
 def corpus_spec_from_dict(obj: dict, base_dir: Optional[Path] = None) -> CorpusSpec:
+    """Build a spec from its JSON form. A mistyped value raises ValueError
+    naming its key, and a missing one KeyError."""
+    check_fields(obj, _SPEC_CHECKS)
     if "manifest" in obj:
         manifest = parse_manifest(obj["manifest"])
     elif "manifest_path" in obj:
@@ -618,28 +668,12 @@ def corpus_spec_from_dict(obj: dict, base_dir: Optional[Path] = None) -> CorpusS
         manifest = load_manifest(path)
     else:
         raise ValueError("corpus spec needs 'manifest' or 'manifest_path'")
-    personas = []
-    for p in obj.get("personas", []):
-        personas.append(
-            PersonaSpec(
-                target_class=OrdinalClass(p["target_class"]),
-                n_users=int(p["n_users"]),
-                video_watch_range=tuple(p["video_watch_range"]),
-                videos_played_range=tuple(p["videos_played_range"]),
-                problems_attempted_range=tuple(p["problems_attempted_range"]),
-                attempts_per_problem_range=tuple(p["attempts_per_problem_range"]),
-                first_score_range=tuple(p["first_score_range"]),
-                watch_before_problems=bool(p["watch_before_problems"]),
-                pacing=p.get("pacing", PACING_SPREAD),
-                seed_offset=int(p.get("seed_offset", 0)),
-            )
-        )
     return CorpusSpec(
         manifest=manifest,
-        personas=tuple(personas),
+        personas=tuple(_persona_from_dict(p) for p in obj.get("personas", [])),
         term_start=date.fromisoformat(obj["term_start"]),
-        weeks=int(obj["weeks"]),
-        seed=int(obj["seed"]),
+        weeks=obj["weeks"],
+        seed=obj["seed"],
     )
 
 

@@ -22,8 +22,10 @@ from edxmine.events import (
     event_to_json,
     format_timestamp,
     iter_events,
+    parse_events,
     parse_line,
 )
+from edxmine.pipeline import parse_log_files
 from conftest import at, raw_line
 
 
@@ -356,6 +358,42 @@ class TestFileReading:
         assert from_plain == from_gz
         assert stats_plain == stats_gz
         assert stats_plain.retained == 4
+
+    def test_one_parse_shares_equal_ids(self, tmp_path):
+        # Integer user ids become new strings on every line unless shared.
+        paths = []
+        for name in ("a.log", "b.log"):
+            lines = [
+                raw_line(name=etype, user=user, session=f"session-{user}", event=event)
+                for user in (39071876, "u-0001")
+                for etype, event in (
+                    ("play_video", {"id": "video-0001", "currentTime": 1.5}),
+                    ("problem_check", {"problem_id": "problem-0001", "grade": 1, "max_grade": 2}),
+                )
+            ]
+            paths.append(tmp_path / name)
+            paths[-1].write_text("\n".join(lines * 2) + "\n")
+        _, events, _ = parse_log_files(paths)
+        assert len(events) == 16
+        for field, distinct in (
+            (lambda ev: ev.user_id, 2),
+            (lambda ev: ev.course_id, 1),
+            (lambda ev: ev.session_id, 2),
+            (lambda ev: getattr(ev.payload, "video_id", None) or ev.payload.problem_id, 2),
+        ):
+            first: dict = {}
+            for ev in events:
+                value = field(ev)
+                assert value is first.setdefault(value, value)
+            assert len(first) == distinct
+
+    def test_floats_never_shared(self):
+        # 0.0 == -0.0, so sharing floats by value would change the tie order.
+        lines = [raw_line(event={"id": "v1", "currentTime": t}) for t in (-0.0, 0.0, -0.0)]
+        texts = [event_to_json(ev) for ev in parse_events(lines)]
+        assert ['"current_time":-0.0' in text for text in texts] == [True, False, True]
+        assert ['"current_time":0.0' in text for text in texts] == [False, True, False]
+        assert texts == [event_to_json(parse_line(line)) for line in lines]
 
     def _half_gzip(self, tmp_path):
         gz = tmp_path / "events.log.gz"

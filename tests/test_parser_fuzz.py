@@ -308,7 +308,13 @@ def check_matches_reference(lines) -> None:
 
 def check_parse_stats(lines) -> None:
     stats = ParseStats()
-    retained = sum(1 for _ in parse_events(lines, stats))
+    events = list(parse_events(lines, stats))
+    retained = len(events)
+    # parse_events shares ids between lines; each event still equals the one
+    # parse_line gives for its line alone.
+    alone = [e for e in map(parse_line, lines) if isinstance(e, Event)]
+    assert [describe(e) for e in events] == [describe(e) for e in alone]
+    assert [event_to_json(e) for e in events] == [event_to_json(e) for e in alone]
     assert stats.lines_read == len(lines) == stats.parsed + stats.malformed
     assert stats.parsed == stats.retained + stats.filtered_out
     assert stats.retained == retained
@@ -341,6 +347,51 @@ CHECKS = (check_matches_reference, check_parse_stats, check_strict_json)
 
 def test_parse_line_matches_reference():
     check_matches_reference(fuzz_corpus())
+
+
+_EVENT_LINE = (
+    '{"name": "play_video", "event_source": "browser", "time": "2021-08-26T00:46:55.696Z",'
+    ' "context": {"user_id": 7, "course_id": "course-v1:GTX+CS1301+1T2021a"},'
+    ' "event": {"id": "v1", "currentTime": 2.5}}'
+)
+# Lines at the edges of parse_line's decoding: a line that opens with "{" and
+# no NUL next is decoded as UTF-8 at once, every other line as
+# json.detect_encoding says; JSON whitespace is stripped from both ends, and
+# anything after the value makes the line invalid.
+DECODE_CASES = {
+    "open brace only": b"{",
+    "brace then NUL": b"{\x00",
+    "utf-8 BOM": b"\xef\xbb\xbf" + _EVENT_LINE.encode(),
+    "utf-16-le": _EVENT_LINE.encode("utf-16-le"),
+    "utf-16-be": _EVENT_LINE.encode("utf-16-be"),
+    "utf-16 with BOM": _EVENT_LINE.encode("utf-16"),
+    "utf-32-le": _EVENT_LINE.encode("utf-32-le"),
+    "utf-32 with BOM": _EVENT_LINE.encode("utf-32"),
+    "whitespace only": b" \t\r\n",
+    "CRLF after the value": b"{}\r\n",
+    "event line with CRLF": _EVENT_LINE.encode() + b"\r\n",
+    "leading tabs": b"\t\t" + _EVENT_LINE.encode(),
+    "two values": b"{} {}",
+    "event line then a value": (_EVENT_LINE + " {}").encode(),
+    "event line as str with trailing data": _EVENT_LINE + " 1",
+    "string event payload": _EVENT_LINE.replace(
+        '{"id": "v1", "currentTime": 2.5}', json.dumps('{"id": "v1", "currentTime": 2.5}')
+    ).encode(),
+    "string event payload then a value": _EVENT_LINE.replace(
+        '{"id": "v1", "currentTime": 2.5}', json.dumps(' {"id": "v1", "currentTime": 2.5} {}')
+    ).encode(),
+}
+
+
+def test_decode_edges_match_reference():
+    check_matches_reference(DECODE_CASES.values())
+    # The table holds whole events, not only rejects.
+    kinds = {name: reference_outcome(line)[0] for name, line in DECODE_CASES.items()}
+    assert sorted(name for name, kind in kinds.items() if kind == "event") == [
+        "event line with CRLF", "leading tabs", "string event payload",
+        "string event payload then a value", "utf-16 with BOM", "utf-16-be", "utf-16-le",
+        "utf-32 with BOM", "utf-32-le", "utf-8 BOM",
+    ]
 
 
 def test_parse_stats_identities():

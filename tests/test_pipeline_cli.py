@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import gzip
+import importlib.util
 import json
 import os
 import subprocess
@@ -618,6 +619,43 @@ class TestCli:
         )
         assert proc.stdout.strip() == "False"
 
+    def test_traced_run_measures_every_layer(self, small_corpus, tmp_path):
+        """The benchmark's traced round (perfbench/child.py, which wraps the
+        program's functions by name) finds every function it wraps, and its
+        traces give every per-layer metric. Each command runs in its own
+        interpreter, because the tracer patches modules."""
+        root = Path(__file__).resolve().parents[1]
+        bench = root / "perfbench"
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=str(root / "src") + (os.pathsep + path if path else ""))
+        log, config = str(small_corpus["events"]), str(small_corpus["run_config"])
+        out = str(tmp_path / "out")
+        report = tmp_path / "report.json"
+        traces = []
+        for args in (
+            ["validate", log],
+            ["pipeline", log, "--run-config", config, "--out", out],
+            ["mine", log, "--run-config", config, "--out", out],
+        ):
+            proc = subprocess.run(
+                [sys.executable, str(bench / "child.py"), "cli", str(report), "trace", *args],
+                cwd=tmp_path, env=env, capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            result = json.loads(report.read_text())
+            assert result["rc"] == 0, args
+            traces.append(result["trace"])
+
+        spec = importlib.util.spec_from_file_location("perfbench_spans", bench / "spans.py")
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        values, absent = spans.round_metrics(traces)
+        assert absent == set()
+        layers = [name for name, _, _ in spans.LAYER_METRICS
+                  if not name.startswith(("setup.", "cli."))]
+        assert [name for name in layers if name not in values] == []
+        assert values["events.retained"] == len(small_corpus["corpus"].lines) * 3
+
     def test_pipeline_bad_config_writes_nothing(self, small_corpus, tmp_path, capsys):
         bad = tmp_path / "run.json"
         bad.write_text(json.dumps({"nonsense": True}))
@@ -769,6 +807,31 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith(f"edxmine: error: {spec_path}: "), err
         if key in ("seed", "weeks", "term_start"):
             assert key in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("watch_before_problems", "false"),
+            ("n_users", 2.9),
+            ("n_users", "3"),
+            ("seed_offset", True),
+            ("video_watch_range", "ab"),
+            ("videos_played_range", [1.5, 3]),
+            ("first_score_range", [0.5]),
+            ("weeks", 2.9),
+        ],
+    )
+    def test_synth_mistyped_value_exits_two(self, tmp_path, capsys, key, value):
+        doc = corpus_spec_to_dict(default_corpus_spec(users_per_class=1, seed=55))
+        (doc if key == "weeks" else doc["personas"][0])[key] = value
+        spec_path = tmp_path / "corpus.json"
+        spec_path.write_text(json.dumps(doc))
+        out = tmp_path / "synth"
+        assert main(["synth", "--spec", str(spec_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"edxmine: error: {spec_path}: "), err
+        assert key in err[0]
         assert not out.exists()
 
     def test_synth_command(self, tmp_path, capsys):
