@@ -96,11 +96,7 @@ def cmd_validate(args) -> int:
 
 
 def _load_run(args) -> RunManifest:
-    if args.run_config:
-        run = load_run_manifest(args.run_config)
-    else:
-        manifest = load_manifest(args.manifest) if args.manifest else None
-        run = RunManifest(manifest=manifest)
+    run = load_run_manifest(args.run_config) if args.run_config else RunManifest()
     if args.gap is not None:
         run.gap = args.gap
     if args.passing_threshold is not None:
@@ -110,6 +106,8 @@ def _load_run(args) -> RunManifest:
 
 def cmd_pipeline(args) -> int:
     run = _load_run(args)
+    if args.manifest:
+        run.manifest = load_manifest(args.manifest)
     result = run_pipeline(
         run,
         args.logs,
@@ -173,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_pipeline.add_argument("logs", nargs="+")
     p_pipeline.add_argument("--run-config", help="run config JSON")
-    p_pipeline.add_argument("--manifest", help="course manifest JSON (when no run config)")
+    p_pipeline.add_argument("--manifest", help="course manifest JSON (overrides the run config's)")
     p_pipeline.add_argument("--out", required=True, help="output directory")
     p_pipeline.add_argument("--gap-minutes", dest="gap", type=_gap, default=None,
                             help="session inactivity gap in minutes, > 0 (default 30)")
@@ -190,7 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mine.add_argument("--out", required=True,
                         help="pipeline output directory (needs classifications.csv)")
     p_mine.add_argument("--run-config", help="run config JSON")
-    p_mine.add_argument("--manifest", help="course manifest JSON (when no run config)")
     p_mine.add_argument("--class", dest="classes", default=None,
                         help="comma-separated class names (default: all)")
     p_mine.add_argument("--min-support", type=_min_support, default=0.05,

@@ -9,7 +9,7 @@ order-sensitive work happens in a deterministic finalize step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime
 from itertools import groupby
 from operator import attrgetter
@@ -28,8 +28,7 @@ from .manifest import CourseManifest
 
 DEFAULT_PASSING_THRESHOLD = 0.7
 
-#: Attempt-bearing event types. ``problem_graded`` can be opted in where a
-#: corpus is known to emit it for real submissions.
+#: Attempt-bearing event types; ``problem_graded`` is not one.
 ATTEMPT_TYPES = frozenset({EventType.PROBLEM_CHECK, EventType.PROBLEM_CHECK_FAIL})
 
 
@@ -92,19 +91,7 @@ class StudentAggregate:
         return cls(**{k: obj.get(k) for k in _AGGREGATE_FIELDS if k in obj})
 
 
-_AGGREGATE_FIELDS = (
-    "user_id",
-    "course_instance",
-    "n_videos",
-    "n_problems",
-    "total_attempts",
-    "mean_attempts_per_problem",
-    "mean_watch_fraction",
-    "mean_score_r",
-    "mean_first_score",
-    "mean_final_score",
-    "order_fraction",
-)
+_AGGREGATE_FIELDS = tuple(f.name for f in fields(StudentAggregate))
 
 
 def union_intervals(spans: Iterable[tuple[float, float]]) -> list[tuple[float, float]]:
@@ -120,11 +107,15 @@ def union_intervals(spans: Iterable[tuple[float, float]]) -> list[tuple[float, f
     return merged
 
 
-def _current_time(ev: Event) -> Optional[float]:
-    payload = ev.payload
-    if isinstance(payload, VideoPayload):
-        return payload.current_time
-    return None
+_PLAYHEAD_TYPES = frozenset(
+    {
+        EventType.PLAY_VIDEO,
+        EventType.PAUSE_VIDEO,
+        EventType.STOP_VIDEO,
+        EventType.SEEK_VIDEO,
+        EventType.COMPLETE_VIDEO,
+    }
+)
 
 
 def reconstruct_intervals(events: Sequence[Event]) -> WatchRecord:
@@ -133,6 +124,7 @@ def reconstruct_intervals(events: Sequence[Event]) -> WatchRecord:
     A play opens an interval; the next play/pause/stop/seek/complete closes
     it (pause and stop at their playhead, seek at its pre-seek position,
     complete at the video duration, a second play at its own position).
+    A close position the event does not carry is the last known playhead.
     Transcript, load, and speed events never move the playhead. An unclosed
     trailing play contributes nothing. Duration comes from the first event
     carrying one; intervals are clamped to [0, duration] when it is known.
@@ -145,49 +137,28 @@ def reconstruct_intervals(events: Sequence[Event]) -> WatchRecord:
     last_pos = 0.0
 
     for ev in events:
+        etype = ev.event_type
         payload = ev.payload
+        pos = after = None  # where the event closes an interval; the playhead after it
         if isinstance(payload, VideoPayload):
             if not video_id:
                 video_id = payload.video_id
-            if duration is None and payload.duration is not None:
+            if duration is None:
                 duration = payload.duration
-        etype = ev.event_type
-
-        if etype is EventType.PLAY_VIDEO:
-            pos = _current_time(ev)
-            if pos is None:
-                pos = last_pos
-            if open_pos is not None:
-                spans.append((open_pos, pos))
-            open_pos = pos
-            last_pos = pos
-        elif etype in (EventType.PAUSE_VIDEO, EventType.STOP_VIDEO):
-            pos = _current_time(ev)
-            if pos is None:
-                pos = last_pos
-            if open_pos is not None:
-                spans.append((open_pos, pos))
-                open_pos = None
-            last_pos = pos
-        elif etype is EventType.SEEK_VIDEO:
-            old = payload.old_time if isinstance(payload, VideoPayload) else None
-            new = payload.new_time if isinstance(payload, VideoPayload) else None
-            close_at = old if old is not None else last_pos
-            if open_pos is not None:
-                spans.append((open_pos, close_at))
-                open_pos = None
-            last_pos = new if new is not None else close_at
-        elif etype is EventType.COMPLETE_VIDEO:
-            close_at = duration
-            if close_at is None:
-                close_at = _current_time(ev)
-            if close_at is None:
-                close_at = last_pos
-            if open_pos is not None:
-                spans.append((open_pos, close_at))
-                open_pos = None
-            last_pos = close_at
-        # load_video / hide_transcript / speed_change: playhead unaffected
+            if etype is EventType.SEEK_VIDEO:
+                pos, after = payload.old_time, payload.new_time
+            else:
+                pos = payload.current_time
+        if etype not in _PLAYHEAD_TYPES:
+            continue
+        if etype is EventType.COMPLETE_VIDEO and duration is not None:
+            pos = duration
+        if pos is None:
+            pos = last_pos
+        if open_pos is not None:
+            spans.append((open_pos, pos))
+        open_pos = pos if etype is EventType.PLAY_VIDEO else None
+        last_pos = pos if after is None else after
 
     if duration is not None:
         spans = [(max(0.0, min(s, duration)), max(0.0, min(e, duration))) for s, e in spans]
@@ -234,6 +205,17 @@ def score_r(
     return _score_r_value(record.n_attempts, record.final_score, passing_threshold)
 
 
+def check_score(ev: Event) -> Optional[float]:
+    """Score of a problem check: ``grade / max_grade`` when it is graded,
+    else 0 for a failed check and absent for any other."""
+    payload = ev.payload
+    if isinstance(payload, ProblemPayload) and payload.grade is not None and payload.max_grade:
+        return payload.grade / payload.max_grade
+    if ev.event_type is EventType.PROBLEM_CHECK_FAIL:
+        return 0.0
+    return None
+
+
 def problem_history(
     events: Sequence[Event],
     passing_threshold: float = DEFAULT_PASSING_THRESHOLD,
@@ -251,18 +233,8 @@ def problem_history(
         payload = ev.payload
         if isinstance(payload, ProblemPayload) and not problem_id:
             problem_id = payload.problem_id
-        if ev.event_type not in ATTEMPT_TYPES:
-            continue
-        score: Optional[float] = None
-        if (
-            isinstance(payload, ProblemPayload)
-            and payload.grade is not None
-            and payload.max_grade
-        ):
-            score = payload.grade / payload.max_grade
-        elif ev.event_type is EventType.PROBLEM_CHECK_FAIL:
-            score = 0.0
-        attempts.append((ev.timestamp, score))
+        if ev.event_type in ATTEMPT_TYPES:
+            attempts.append((ev.timestamp, check_score(ev)))
 
     scored = [s for _, s in attempts if s is not None]
     first_score = scored[0] if scored else None
@@ -330,12 +302,14 @@ class StudentEvents:
         Deterministic: events are sorted by a total order and content ids
         are visited sorted, so merge order never changes the output.
         """
-        n_videos = 0
+        first_plays: dict[str, datetime] = {}  # played video id -> its first play
         fractions: list[float] = []
         for vid in sorted(self.video_events):
             evs = in_total_order(self.video_events[vid])
-            if any(e.event_type is EventType.PLAY_VIDEO for e in evs):
-                n_videos += 1
+            for ev in evs:
+                if ev.event_type is EventType.PLAY_VIDEO:
+                    first_plays[vid] = ev.timestamp
+                    break
             fraction = reconstruct_intervals(evs).watch_fraction
             if fraction is not None:
                 fractions.append(fraction)
@@ -357,7 +331,7 @@ class StudentEvents:
         return StudentAggregate(
             user_id=self.user_id,
             course_instance=self.course_id,
-            n_videos=n_videos,
+            n_videos=len(first_plays),
             n_problems=n_problems,
             total_attempts=total_attempts,
             mean_attempts_per_problem=total_attempts / n_problems if n_problems else None,
@@ -365,44 +339,39 @@ class StudentEvents:
             mean_score_r=sum(score_rs) / len(score_rs) if score_rs else None,
             mean_first_score=sum(firsts) / len(firsts) if firsts else None,
             mean_final_score=sum(finals) / len(finals) if finals else None,
-            order_fraction=self._order_fraction(manifest, attempted),
+            order_fraction=_order_fraction(manifest, attempted, first_plays),
         )
 
-    def _order_fraction(
-        self,
-        manifest: Optional[CourseManifest],
-        attempted: dict[str, ProblemRecord],
-    ) -> Optional[float]:
-        """Share of placeable attempted problems first tried after a video
-        play in the same manifest section."""
-        if manifest is None or not attempted:
-            return None
-        earliest_play: dict[tuple[int, int, int], datetime] = {}
-        for vid, evs in self.video_events.items():
-            section = manifest.section_of(vid)
-            if section is None:
-                continue
-            plays = [e.timestamp for e in evs if e.event_type is EventType.PLAY_VIDEO]
-            if not plays:
-                continue
-            first = min(plays)
-            if section not in earliest_play or first < earliest_play[section]:
-                earliest_play[section] = first
 
-        evaluable = 0
-        studied_first = 0
-        for pid, rec in attempted.items():
-            section = manifest.section_of(pid)
-            if section is None or not manifest.section_has_video(section):
-                continue
-            evaluable += 1
-            first_attempt = rec.attempts[0][0]
-            play_ts = earliest_play.get(section)
-            if play_ts is not None and play_ts < first_attempt:
-                studied_first += 1
-        if evaluable == 0:
-            return None
-        return studied_first / evaluable
+def _order_fraction(
+    manifest: Optional[CourseManifest],
+    attempted: dict[str, ProblemRecord],
+    first_plays: dict[str, datetime],
+) -> Optional[float]:
+    """Share of placeable attempted problems first tried after a video play
+    in the same manifest section."""
+    if manifest is None or not attempted:
+        return None
+    earliest_play: dict[tuple[int, int, int], datetime] = {}
+    for vid, first in first_plays.items():
+        section = manifest.section_of(vid)
+        if section is not None and (section not in earliest_play or first < earliest_play[section]):
+            earliest_play[section] = first
+
+    evaluable = 0
+    studied_first = 0
+    for pid, rec in attempted.items():
+        section = manifest.section_of(pid)
+        if section is None or not manifest.section_has_video(section):
+            continue
+        evaluable += 1
+        first_attempt = rec.attempts[0][0]
+        play_ts = earliest_play.get(section)
+        if play_ts is not None and play_ts < first_attempt:
+            studied_first += 1
+    if evaluable == 0:
+        return None
+    return studied_first / evaluable
 
 
 StudentKey = tuple[str, str]

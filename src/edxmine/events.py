@@ -14,7 +14,7 @@ import json
 import math
 import re
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 from datetime import datetime, timezone
 from json.scanner import make_scanner
 from pathlib import Path
@@ -143,22 +143,10 @@ class ParseStats:
             self.retained += 1
 
     def merge(self, other: "ParseStats") -> "ParseStats":
-        return ParseStats(
-            lines_read=self.lines_read + other.lines_read,
-            parsed=self.parsed + other.parsed,
-            retained=self.retained + other.retained,
-            malformed=self.malformed + other.malformed,
-            filtered_out=self.filtered_out + other.filtered_out,
-        )
+        return ParseStats(*(a + b for a, b in zip(astuple(self), astuple(other))))
 
     def as_dict(self) -> dict:
-        return {
-            "lines_read": self.lines_read,
-            "parsed": self.parsed,
-            "retained": self.retained,
-            "malformed": self.malformed,
-            "filtered_out": self.filtered_out,
-        }
+        return asdict(self)
 
 
 _FRACTION = re.compile(r"\.(\d+)")
@@ -212,11 +200,10 @@ def format_timestamp(ts: datetime) -> str:
 
 
 def _as_float(value) -> Optional[float]:
-    """Coerce a JSON number or numeric string to a finite float; anything
-    else, NaN and the infinities included, is absent."""
+    """Coerce a JSON integer or numeric string to a finite float; anything
+    else, NaN and the infinities included, is absent. Callers test for a
+    float first."""
     kind = type(value)
-    if kind is float:
-        return value if _isfinite(value) else None
     if kind is int:
         try:
             return float(value)

@@ -14,13 +14,13 @@ scanning it; input sequences are never copied.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import timedelta
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .engagement import DEFAULT_PASSING_THRESHOLD, in_total_order
-from .events import Event, EventType, ProblemPayload, RETAINED_EVENT_TYPES
+from .engagement import DEFAULT_PASSING_THRESHOLD, check_score, in_total_order
+from .events import Event, EventType, RETAINED_EVENT_TYPES
 from .sessions import DEFAULT_GAP, group_into_sessions
 
 CHECK_PASS = "check_pass"
@@ -36,12 +36,6 @@ class SymbolAlphabet:
     """Stable symbol-code table; at most 16 symbols."""
 
     names: tuple[str, ...]
-
-    def code_of(self, name: str) -> int:
-        return self.names.index(name)
-
-    def name_of(self, code: int) -> str:
-        return self.names[code]
 
     def render(self, symbols: Sequence[int]) -> str:
         return ">".join(self.names[code] for code in symbols)
@@ -92,11 +86,7 @@ def encode_sequences(
     def symbol_for(ev: Event) -> int:
         name = ev.event_type.value
         if split_check_outcome and ev.event_type is EventType.PROBLEM_CHECK:
-            score = None
-            if isinstance(ev.payload, ProblemPayload):
-                payload = ev.payload
-                if payload.grade is not None and payload.max_grade:
-                    score = payload.grade / payload.max_grade
+            score = check_score(ev)
             name = CHECK_PASS if score is not None and score >= passing_threshold else CHECK_FAIL
         return codes[name]
 

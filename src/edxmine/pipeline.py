@@ -269,15 +269,14 @@ def resolve_anchor(
         return run.anchors[cohort.label]
     if cohort.modality == "on_campus" and run.manifest and run.manifest.course_start:
         return run.manifest.course_start
-    if cohort.modality == "online":
-        year = _year_from_label(cohort.term_label)
-        if year is None and events:
-            year = min(e.timestamp for e in events).year
-        if year is not None:
-            return date(year, 1, 1)
-    if events:
-        return min(e.timestamp for e in events).date()
-    return date(1970, 1, 1)
+    online = cohort.modality == "online"
+    year = _year_from_label(cohort.term_label) if online else None
+    if year is not None:
+        return date(year, 1, 1)
+    if not events:
+        return date(1970, 1, 1)
+    earliest = min(e.timestamp for e in events)
+    return date(earliest.year, 1, 1) if online else earliest.date()
 
 
 @dataclass

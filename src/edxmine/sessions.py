@@ -6,7 +6,6 @@ without one fall back to inactivity-gap splitting (default 30 minutes).
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 from typing import Iterable, Optional, Sequence
@@ -113,13 +112,15 @@ def weekly_presence(events: Iterable[Event], anchor: date) -> WeeklyPresence:
             continue
         active_weeks.setdefault(ev.user_id, set()).add(week)
 
-    first_week = {user: min(weeks) for user, weeks in active_weeks.items()}
-    max_week = max((max(w) for w in active_weeks.values()), default=-1)
-    rows = []
-    for week in range(max_week + 1):
-        new = sum(1 for fw in first_week.values() if fw == week)
-        active = sum(1 for weeks in active_weeks.values() if week in weeks)
-        rows.append(
-            WeekActivity(week_index=week, new_users=new, returning_users=active - new)
-        )
+    n_weeks = max((max(w) for w in active_weeks.values()), default=-1) + 1
+    new = [0] * n_weeks
+    active = [0] * n_weeks
+    for weeks in active_weeks.values():
+        new[min(weeks)] += 1
+        for week in weeks:
+            active[week] += 1
+    rows = [
+        WeekActivity(week_index=week, new_users=new[week], returning_users=active[week] - new[week])
+        for week in range(n_weeks)
+    ]
     return WeeklyPresence(weeks=rows, dropped_before_anchor=dropped)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from dataclasses import replace
 from itertools import chain
 
 import pytest
@@ -21,7 +22,7 @@ from edxmine.engagement import (
 )
 from edxmine.events import EventType, VideoPayload, event_to_json
 from edxmine.manifest import parse_manifest
-from conftest import at, problem_event, random_video_events, video_event
+from conftest import at, bare_event, problem_event, random_video_events, video_event
 
 
 def oracle_watch_fraction(events) -> float | None:
@@ -195,6 +196,112 @@ class TestReconstructIntervals:
             assert record.watch_fraction == pytest.approx(expected, abs=1e-6)
             checked += 1
         assert checked > 250
+
+
+# (events, exact intervals, exact watch_fraction); compared by repr, so -0.0
+# and 0.0 are told apart.
+INTERVAL_TABLE = {
+    "complete_without_duration_closes_at_playhead": (
+        [
+            video_event("play_video", t=0, current_time=10.0),
+            video_event("complete_video", t=5, current_time=40.0),
+        ],
+        ((10.0, 40.0),),
+        None,
+    ),
+    "complete_without_duration_or_playhead": (
+        [
+            video_event("play_video", t=0, current_time=10.0),
+            video_event("complete_video", t=5),
+            video_event("play_video", t=6),
+            video_event("pause_video", t=7, current_time=25.0),
+        ],
+        ((10.0, 25.0),),
+        None,
+    ),
+    "seek_without_old_time_closes_at_last_position": (
+        [
+            video_event("play_video", t=0, current_time=0.0, duration=100.0),
+            video_event("pause_video", t=1, current_time=30.0),
+            video_event("play_video", t=2, current_time=30.0),
+            video_event("seek_video", t=3, new_time=80.0),
+            video_event("play_video", t=4),
+            video_event("pause_video", t=5, current_time=90.0),
+        ],
+        ((0.0, 30.0), (80.0, 90.0)),
+        0.4,
+    ),
+    "seek_without_new_time_stays_at_old_time": (
+        [
+            video_event("play_video", t=0, current_time=0.0, duration=100.0),
+            video_event("seek_video", t=1, old_time=20.0),
+            video_event("play_video", t=2),
+            video_event("pause_video", t=3, current_time=50.0),
+        ],
+        ((0.0, 50.0),),
+        0.5,
+    ),
+    "play_after_play_closes_at_second_play": (
+        [
+            video_event("play_video", t=0, current_time=10.0, duration=100.0),
+            video_event("play_video", t=1, current_time=5.0),
+            video_event("play_video", t=2, current_time=70.0),
+            video_event("stop_video", t=3, current_time=75.0),
+        ],
+        ((5.0, 75.0),),
+        0.7,
+    ),
+    "negative_zero_positions_clamp_to_zero": (
+        [
+            video_event("play_video", t=0, current_time=-0.0, duration=10.0),
+            video_event("pause_video", t=1, current_time=5.0),
+            video_event("play_video", t=2, current_time=0.0),
+            video_event("pause_video", t=3, current_time=-0.0),
+        ],
+        ((0.0, 5.0),),
+        0.5,
+    ),
+    "negative_zero_start_without_duration": (
+        [
+            video_event("play_video", t=0, current_time=-0.0),
+            video_event("pause_video", t=1, current_time=2.5),
+        ],
+        ((0.0, 2.5),),
+        None,
+    ),
+    "zero_duration_has_no_fraction": (
+        [
+            video_event("play_video", t=0, current_time=0.0, duration=0.0),
+            video_event("pause_video", t=1, current_time=5.0),
+        ],
+        (),
+        None,
+    ),
+    "problem_and_payloadless_events_in_a_video_stream": (
+        [
+            video_event("play_video", t=0, current_time=0.0, duration=100.0),
+            video_event("pause_video", t=1, current_time=30.0),
+            bare_event("play_video", t=2),
+            problem_event("problem_check", t=3, grade=1, max_grade=1),
+            # a problem payload under a video event type
+            replace(problem_event("problem_check", t=4, grade=40, max_grade=50),
+                    event_type=EventType.PAUSE_VIDEO),
+            bare_event("play_video", t=5),
+            video_event("pause_video", t=6, current_time=60.0),
+            bare_event("seek_video", t=7),
+        ],
+        ((0.0, 60.0),),
+        0.6,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INTERVAL_TABLE))
+def test_reconstruct_intervals_table(case):
+    events, intervals, fraction = INTERVAL_TABLE[case]
+    record = reconstruct_intervals(events)
+    assert repr(record.intervals) == repr(intervals)
+    assert repr(record.watch_fraction) == repr(fraction)
 
 
 class TestProblemHistory:

@@ -609,6 +609,64 @@ class TestCli:
         assert config["gap_minutes"] == 45.0
         assert config["passing_threshold"] == 0.5
 
+    def test_manifest_flag_runs_as_config_manifest(self, small_corpus, tmp_path):
+        """``pipeline --manifest M`` alone, and over a run config naming no
+        manifest or another one, writes what a run config naming M writes."""
+        logs = [str(small_corpus["events"])]
+        manifest = str(small_corpus["manifest"])
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps({"course_id": "x", "submodules": []}))
+        configs = {}
+        for name, obj in (("named", {"manifest": manifest}), ("none", {}),
+                          ("other", {"manifest": str(other)})):
+            configs[name] = tmp_path / f"{name}.json"
+            configs[name].write_text(json.dumps(obj))
+        runs = {
+            "config": ["--run-config", str(configs["named"])],
+            "flag": ["--manifest", manifest],
+            "flag_over_none": ["--run-config", str(configs["none"]), "--manifest", manifest],
+            "flag_over_other": ["--run-config", str(configs["other"]), "--manifest", manifest],
+        }
+        outputs = {}
+        for name, args in runs.items():
+            out = tmp_path / name
+            assert main(["pipeline", *logs, *args, "--out", str(out)]) == 0
+            outputs[name] = [(out / f).read_bytes() for f in ("aggregates.jsonl", "classifications.csv")]
+        aggregates, classifications = outputs.pop("config")
+        assert b"order_fraction" in aggregates
+        assert b",studier" in classifications
+        for name, files in outputs.items():
+            assert files == [aggregates, classifications], name
+
+    def test_missing_manifest_flag_exits_two(self, small_corpus, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(
+            [
+                "pipeline", str(small_corpus["events"]),
+                "--run-config", str(small_corpus["run_config"]), "--out", str(out),
+                "--manifest", str(tmp_path / "nonexistent.json"),
+            ]
+        )
+        assert code == 2
+        assert "nonexistent.json" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_mine_has_no_manifest_flag(self, small_corpus, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "classifications.csv").write_text("user_id,course_id,cohort,class\n")
+        log = str(small_corpus["events"])
+        with pytest.raises(SystemExit) as exc:
+            main(["mine", log, "--out", str(out), "--manifest", str(small_corpus["manifest"])])
+        assert exc.value.code == 1
+        assert "--manifest" in capsys.readouterr().err
+        # The run config's manifest is still checked.
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"manifest": "nonexistent.json"}))
+        assert main(["mine", log, "--out", str(out), "--run-config", str(config)]) == 2
+        assert "nonexistent.json" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["classifications.csv"]
+
     def test_cli_import_leaves_numpy_out(self):
         src = str(Path(edxmine.__file__).resolve().parents[1])
         path = os.environ.get("PYTHONPATH")
