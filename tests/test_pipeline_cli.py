@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import csv
 import gzip
+import hashlib
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 from datetime import date
@@ -77,6 +79,18 @@ def _tied_lines(corpus: dict):
     tied.problem = next(b.block_id for b in blocks if b.kind is BlockKind.GRADED_PROBLEM)
     tied.graded = {"problem_id": tied.problem, "grade": 1, "max_grade": 2}
     return tied
+
+
+def _tie_pairs(corpus: dict) -> list[tuple[str, str]]:
+    """Pairs of events in one millisecond: a play and a pause for three
+    users, and two loads that differ only in org_id."""
+    tied = _tied_lines(corpus)
+    event = {"id": tied.video, "currentTime": 3.0, "duration": 60.0}
+    pairs = [(tied("play_video", u, event), tied("pause_video", u, event))
+             for u in ("tie-1", "tie-2", "tie-3")]
+    pairs.append((tied("load_video", "tie-1", event, "GTX"),
+                  tied("load_video", "tie-1", event, "MITx")))
+    return pairs
 
 
 class TestRunManifestLoading:
@@ -228,22 +242,8 @@ class TestRunPipeline:
 
     def test_shards_give_same_bytes_as_whole_log(self, small_corpus, tmp_path):
         run = load_run_manifest(small_corpus["run_config"])
-        course = small_corpus["spec"].manifest.course_id
-        video = next(b.block_id for _, b in small_corpus["spec"].manifest.iter_blocks()
-                     if b.kind is BlockKind.VIDEO)
-
-        def tied(name, user, org="SYN"):
-            return raw_line(
-                name, user=user, course=course, org=org, session=f"{user}-s",
-                time="2021-09-01T10:00:00.500Z",
-                event={"id": video, "currentTime": 3.0, "duration": 60.0},
-            )
-
-        # Pairs of events in one millisecond: a play and a pause for three
-        # users, and two loads that differ only in org_id. The whole log
-        # holds each pair in one order, the shards in the other.
-        pairs = [(tied("play_video", u), tied("pause_video", u)) for u in ("tie-1", "tie-2", "tie-3")]
-        pairs.append((tied("load_video", "tie-1", "GTX"), tied("load_video", "tie-1", "MITx")))
+        # The whole log holds each tied pair in one order, the shards in the other.
+        pairs = _tie_pairs(small_corpus)
         firsts, seconds = (list(side) for side in zip(*pairs))
         # Alternate lines, read in the other order: no event keeps its place.
         lines = small_corpus["events"].read_text().splitlines()
@@ -451,6 +451,142 @@ class TestMining:
         )
         lines = files["patterns_studier"].read_text().splitlines()
         assert lines == ["pattern,support,relative_support,class"]
+
+
+# Logs, pipeline flags and mine flag sets of the golden-bytes cases. Each
+# mine run reads the pipeline's classifications in a directory of its own.
+_GOLDEN_CASES = {
+    "csv": ("corpus", [], [["--per-session"], ["--per-user", "--split-check-outcome", "--collapse-runs"]]),
+    "jsonl": ("corpus", ["--format", "jsonl"], []),
+    "exclude-no-show": ("corpus", ["--exclude-no-show"], []),
+    "ties": ("ties", [], [["--per-session"], ["--per-user", "--split-check-outcome", "--collapse-runs"]]),
+    "empty": ("empty", [], [["--per-session"]]),
+}
+
+# sha256 of every file that pipeline and mine write for each case above.
+_GOLDEN_DIGESTS = {
+    "csv": {
+        "mine-0/contrast.csv": "1d04b971f825913d610e54b52a261dcccb5a86e46b5302d39a4bd13accf5ac9d",
+        "mine-0/patterns_at_risk.csv": "02a715696cceca6c1e62ce04397a56847ddcbe79fe6b5aef728766ba9ceb7a57",
+        "mine-0/patterns_box_checker.csv": "ee311906fbc1ca6d3133aa28c3a8067aa58da2abc42c7e8b6a5b84fb2d69711f",
+        "mine-0/patterns_high_engagement.csv": "ad0012c86cfc0d35802683f036ddcd13bdc4442785b2cb558c342219024dfc15",
+        "mine-0/patterns_no_show.csv": "d166e256b479f9a47929af4091a82ac4b627196a1a8302528093477ff64c93db",
+        "mine-0/patterns_normal_engagement.csv": "1888e76618d7eae4a61b1c564e4f14efe455113ed1f0f6e18c3a7111c134b6e5",
+        "mine-0/patterns_potentially_at_risk.csv": "1556da1440de8346b145093962a06f170a77af00d9cae1a429e41a0178ba1e32",
+        "mine-0/patterns_studier.csv": "753a6891c487395a3db0abf9d1e1b6fed2ab94630ee735efbfd6dc549e6187ba",
+        "mine-0/patterns_voyeur.csv": "2e8c3bed6b84a0d4144a64a2eb820d48cff635e8e1930151be4099c3ca9673e1",
+        "mine-1/contrast.csv": "60f6625b7c2f4872c0c350b825a9b3db2bf717665ccac842d1a952f425874d76",
+        "mine-1/patterns_at_risk.csv": "4d5bfd75963ccc21a0eb13ab7c258d25188bf8df8742b8ed6d9a0b33f103ba34",
+        "mine-1/patterns_box_checker.csv": "dbd919b5ce0cc4bf36844bae7df27b662a01c5b7e1d19bf3f9b1c11d881ffb09",
+        "mine-1/patterns_high_engagement.csv": "4ce252a929dccf775f6a9b3acbb5f09b9f4c2f8c6163172a9e0b0be1a089f53a",
+        "mine-1/patterns_no_show.csv": "089371c98ea030f847682aa769325d827b55a1896e30b5bba369dda63f213c84",
+        "mine-1/patterns_normal_engagement.csv": "41cb676278bdad020517fed104a38ff521762aad831cd64f755eb65b0227858f",
+        "mine-1/patterns_potentially_at_risk.csv": "002e878e308fa688afaf22c878793d55f1770ca4d036bfa0d85e89b965e25f21",
+        "mine-1/patterns_studier.csv": "67c4e18f9406276599933f5b5123744f006da26af2b2364c9c3ed02a5e3305ac",
+        "mine-1/patterns_voyeur.csv": "6bcf272946973036a4e5ff7f2a56e3ee34f5cc84a56b53257eedeb02b4362918",
+        "out/aggregates.jsonl": "4629bac719ce4ab3a51fdcba44d015fabf47f2013e67c6aa27b22cc04e4cc8d0",
+        "out/breakdown.csv": "097bad4dcf22c1a541ce644eecb806ce643ccf6c1ef93cd634aced3b7e526294",
+        "out/classifications.csv": "829fc63df67fe36a6b22845e85ce52c615c6b27f2a414d621e0b0acc0fa7a12a",
+        "out/enrollment.csv": "330059f206ba5edc8e41099ca616037a233e15d753485862b80568c50233e229",
+        "out/run_meta.json": "37dbcc65be3e1d2a58d1d4830099dabc356c05944612927e56da9766fae6b66a",
+        "out/score_comparison.csv": "5b3bcc21af2911102734922c5b39b278bc0df62937a18e6a328de46964506548",
+        "out/scorer_distribution.csv": "b693a9fb4b8fbde53fda365bbe8ab5cac482d3d6deaac134a9f1028d617b7f8b",
+        "out/weekly.csv": "fe17a55614ebaf735f2929676fa486b9058185ad6b64592703a887cade62319c",
+    },
+    "empty": {
+        "mine-0/contrast.csv": "3265772d5b465c81995e7b34c8bf4de3c452cf2363096bea69ce17c6a3321ede",
+        "mine-0/patterns_at_risk.csv": "3265772d5b465c81995e7b34c8bf4de3c452cf2363096bea69ce17c6a3321ede",
+        "mine-0/patterns_box_checker.csv": "3265772d5b465c81995e7b34c8bf4de3c452cf2363096bea69ce17c6a3321ede",
+        "mine-0/patterns_high_engagement.csv": "3265772d5b465c81995e7b34c8bf4de3c452cf2363096bea69ce17c6a3321ede",
+        "mine-0/patterns_no_show.csv": "3265772d5b465c81995e7b34c8bf4de3c452cf2363096bea69ce17c6a3321ede",
+        "mine-0/patterns_normal_engagement.csv": "3265772d5b465c81995e7b34c8bf4de3c452cf2363096bea69ce17c6a3321ede",
+        "mine-0/patterns_potentially_at_risk.csv": "3265772d5b465c81995e7b34c8bf4de3c452cf2363096bea69ce17c6a3321ede",
+        "mine-0/patterns_studier.csv": "3265772d5b465c81995e7b34c8bf4de3c452cf2363096bea69ce17c6a3321ede",
+        "mine-0/patterns_voyeur.csv": "3265772d5b465c81995e7b34c8bf4de3c452cf2363096bea69ce17c6a3321ede",
+        "out/aggregates.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "out/breakdown.csv": "b743b6f76affcc11b25879c2bfddb68ccaf8dc2432ca83953af7793e1869ce7e",
+        "out/classifications.csv": "87d0652ed9cb0956f19b9a85e6e50959034bda1d5d3a1441fe8ff0af3853d70c",
+        "out/enrollment.csv": "91150334b9c7e54bf12e912a7e4ad1e1706d28b7456860159cc04f5987fad110",
+        "out/run_meta.json": "e60a5af09f141c3d6e03f1c68a20f5c696bf52fbb1578f26a87e577596b08d13",
+        "out/score_comparison.csv": "b747a0c2481334cbcaa163bd95fc9117f23b65008aa779be3aca2d6d08f24fa0",
+        "out/scorer_distribution.csv": "b747a0c2481334cbcaa163bd95fc9117f23b65008aa779be3aca2d6d08f24fa0",
+        "out/weekly.csv": "06e1d48085c26294f4b008cad2e25b6cefbecbc32ee9cfff57b42dfa883503ea",
+    },
+    "exclude-no-show": {
+        "out/aggregates.jsonl": "4629bac719ce4ab3a51fdcba44d015fabf47f2013e67c6aa27b22cc04e4cc8d0",
+        "out/breakdown.csv": "923ce8f61887921b409745fa1f9e96bf2827a0532941c71997f05fe8dd673b69",
+        "out/classifications.csv": "829fc63df67fe36a6b22845e85ce52c615c6b27f2a414d621e0b0acc0fa7a12a",
+        "out/enrollment.csv": "330059f206ba5edc8e41099ca616037a233e15d753485862b80568c50233e229",
+        "out/run_meta.json": "4481b0f234216756b3e58db7149114475dcfd1b7d64e4dd7848e59d99ec32b71",
+        "out/score_comparison.csv": "5b3bcc21af2911102734922c5b39b278bc0df62937a18e6a328de46964506548",
+        "out/scorer_distribution.csv": "b693a9fb4b8fbde53fda365bbe8ab5cac482d3d6deaac134a9f1028d617b7f8b",
+        "out/weekly.csv": "fe17a55614ebaf735f2929676fa486b9058185ad6b64592703a887cade62319c",
+    },
+    "jsonl": {
+        "out/aggregates.jsonl": "4629bac719ce4ab3a51fdcba44d015fabf47f2013e67c6aa27b22cc04e4cc8d0",
+        "out/breakdown.jsonl": "6fef7f547d57b6b3d3d8771f9aeb2c6fa5f026208ad1ce420669700733c959ff",
+        "out/classifications.csv": "829fc63df67fe36a6b22845e85ce52c615c6b27f2a414d621e0b0acc0fa7a12a",
+        "out/enrollment.jsonl": "885b832c1ab7fcba89707cfdb738c0bcb07b3e2ae7fd85471e9ac31cde543b83",
+        "out/run_meta.json": "852c0eaf64fd206d07a4e517c3bfe940e945f632bf4688d48a8bfa6f2dcbf895",
+        "out/score_comparison.jsonl": "d6402267c155e0a37c57202e7d1d0d5d8d02d5ad5a03824de7ee4f04de75f6fa",
+        "out/scorer_distribution.jsonl": "17d60d7eed38c1302c72ac5a810475ed5584676ca25190ad20579fb4cfefecae",
+        "out/weekly.jsonl": "8ad9b1bf484939b61da66b9a80fb7de020154c96cc13d01219b8e0a44da6bbe5",
+    },
+    "ties": {
+        "mine-0/contrast.csv": "1647b3884e981cb2ba33f14d2eeb5101d1ac7c4a8c1a16f76a04d6f13492b76d",
+        "mine-0/patterns_at_risk.csv": "02a715696cceca6c1e62ce04397a56847ddcbe79fe6b5aef728766ba9ceb7a57",
+        "mine-0/patterns_box_checker.csv": "ee311906fbc1ca6d3133aa28c3a8067aa58da2abc42c7e8b6a5b84fb2d69711f",
+        "mine-0/patterns_high_engagement.csv": "ad0012c86cfc0d35802683f036ddcd13bdc4442785b2cb558c342219024dfc15",
+        "mine-0/patterns_no_show.csv": "5be4ba95557290bdd1e1cf03f627bbd687a75397aa13007286b8243061e02a3f",
+        "mine-0/patterns_normal_engagement.csv": "1888e76618d7eae4a61b1c564e4f14efe455113ed1f0f6e18c3a7111c134b6e5",
+        "mine-0/patterns_potentially_at_risk.csv": "1556da1440de8346b145093962a06f170a77af00d9cae1a429e41a0178ba1e32",
+        "mine-0/patterns_studier.csv": "753a6891c487395a3db0abf9d1e1b6fed2ab94630ee735efbfd6dc549e6187ba",
+        "mine-0/patterns_voyeur.csv": "2e8c3bed6b84a0d4144a64a2eb820d48cff635e8e1930151be4099c3ca9673e1",
+        "mine-1/contrast.csv": "8dafcb6a141c095c7a77caa2108d9dd57e6667cdac036f3e1baa3e504500021b",
+        "mine-1/patterns_at_risk.csv": "4d5bfd75963ccc21a0eb13ab7c258d25188bf8df8742b8ed6d9a0b33f103ba34",
+        "mine-1/patterns_box_checker.csv": "dbd919b5ce0cc4bf36844bae7df27b662a01c5b7e1d19bf3f9b1c11d881ffb09",
+        "mine-1/patterns_high_engagement.csv": "4ce252a929dccf775f6a9b3acbb5f09b9f4c2f8c6163172a9e0b0be1a089f53a",
+        "mine-1/patterns_no_show.csv": "eda8fbdc26b2abc963eab0121688862631f25ce4da866c64820b28b75db97667",
+        "mine-1/patterns_normal_engagement.csv": "41cb676278bdad020517fed104a38ff521762aad831cd64f755eb65b0227858f",
+        "mine-1/patterns_potentially_at_risk.csv": "002e878e308fa688afaf22c878793d55f1770ca4d036bfa0d85e89b965e25f21",
+        "mine-1/patterns_studier.csv": "67c4e18f9406276599933f5b5123744f006da26af2b2364c9c3ed02a5e3305ac",
+        "mine-1/patterns_voyeur.csv": "6bcf272946973036a4e5ff7f2a56e3ee34f5cc84a56b53257eedeb02b4362918",
+        "out/aggregates.jsonl": "5f5fb314d205a607add1d1a5bbf06de9292335a1d19952fb6307c3a05ca9f253",
+        "out/breakdown.csv": "180f848cafe20de87f50ed49c7cd012afb99499c772370727cce6de05dcea828",
+        "out/classifications.csv": "74a6b50e7b4a5149c6011577cfa95e478234d01384c926421fe6e68d71ef97c1",
+        "out/enrollment.csv": "5ccc11713fd85c6af791b7db23ea3c364e7944e31b118630713ba51507e8eddc",
+        "out/run_meta.json": "a28de94d4c81697018c02863523bef4d9753c0719df6ca2fc86c978b644ec3fc",
+        "out/score_comparison.csv": "5b3bcc21af2911102734922c5b39b278bc0df62937a18e6a328de46964506548",
+        "out/scorer_distribution.csv": "b693a9fb4b8fbde53fda365bbe8ab5cac482d3d6deaac134a9f1028d617b7f8b",
+        "out/weekly.csv": "855f54c53dd0d38f821404afdc1b6c4ee1bfecc084611896a08dde4e37dcc190",
+    },
+}
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("case", sorted(_GOLDEN_CASES))
+    def test_outputs_match_pinned_digests(self, small_corpus, tmp_path, monkeypatch, case):
+        log_kind, pipeline_flags, mine_runs = _GOLDEN_CASES[case]
+        lines = [] if log_kind == "empty" else list(small_corpus["corpus"].lines)
+        if log_kind == "ties":
+            lines += [line for pair in _tie_pairs(small_corpus) for line in pair]
+        # Relative paths, because run_meta.json names each log as given.
+        monkeypatch.chdir(tmp_path)
+        Path("events.log").write_text("".join(line + "\n" for line in lines))
+        config = str(small_corpus["run_config"])
+        args = ["events.log", "--run-config", config]
+        assert main(["pipeline", *args, "--out", "out", *pipeline_flags]) == 0
+        written = [path for path in Path("out").iterdir()]
+        for i, mine_flags in enumerate(mine_runs):
+            out = Path(f"mine-{i}")
+            out.mkdir()
+            shutil.copy(Path("out") / "classifications.csv", out)
+            assert main(["mine", *args, "--out", str(out), "--max-len", "4", *mine_flags]) == 0
+            written += [path for path in out.iterdir() if path.name != "classifications.csv"]
+        digests = {
+            path.as_posix(): hashlib.sha256(path.read_bytes()).hexdigest() for path in written
+        }
+        assert digests == _GOLDEN_DIGESTS[case]
 
 
 class TestCli:
