@@ -3,21 +3,24 @@
 Rebuilds watched-interval unions per video, attempt histories per problem,
 the 1-4 retry-difficulty index per problem, and the per-student aggregate
 consumed by the classifier. Aggregation state merges commutatively across
-arbitrary event shards: partial states hold raw event lists and all
-order-sensitive work happens in a deterministic finalize step.
+arbitrary event shards: a partial state holds its student's events in
+compact columns, and all order-sensitive work happens after one sort into a
+total order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from datetime import datetime
+from array import array
+from dataclasses import dataclass, fields
+from datetime import datetime, timedelta, timezone
 from itertools import groupby
-from operator import attrgetter
-from typing import Iterable, Optional, Sequence
+from math import nan
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import json
 
 from .events import (
+    RETAINED_EVENT_TYPES,
     Event,
     EventType,
     ProblemPayload,
@@ -107,79 +110,6 @@ def union_intervals(spans: Iterable[tuple[float, float]]) -> list[tuple[float, f
     return merged
 
 
-_PLAYHEAD_TYPES = frozenset(
-    {
-        EventType.PLAY_VIDEO,
-        EventType.PAUSE_VIDEO,
-        EventType.STOP_VIDEO,
-        EventType.SEEK_VIDEO,
-        EventType.COMPLETE_VIDEO,
-    }
-)
-
-
-def reconstruct_intervals(events: Sequence[Event]) -> WatchRecord:
-    """Watched-content intervals for one (user, video) event stream.
-
-    A play opens an interval; the next play/pause/stop/seek/complete closes
-    it (pause and stop at their playhead, seek at its pre-seek position,
-    complete at the video duration, a second play at its own position).
-    A close position the event does not carry is the last known playhead.
-    Transcript, load, and speed events never move the playhead. An unclosed
-    trailing play contributes nothing. Duration comes from the first event
-    carrying one; intervals are clamped to [0, duration] when it is known.
-    """
-    user_id = events[0].user_id if events else ""
-    video_id = ""
-    duration: Optional[float] = None
-    spans: list[tuple[float, float]] = []
-    open_pos: Optional[float] = None
-    last_pos = 0.0
-
-    for ev in events:
-        etype = ev.event_type
-        payload = ev.payload
-        pos = after = None  # where the event closes an interval; the playhead after it
-        if isinstance(payload, VideoPayload):
-            if not video_id:
-                video_id = payload.video_id
-            if duration is None:
-                duration = payload.duration
-            if etype is EventType.SEEK_VIDEO:
-                pos, after = payload.old_time, payload.new_time
-            else:
-                pos = payload.current_time
-        if etype not in _PLAYHEAD_TYPES:
-            continue
-        if etype is EventType.COMPLETE_VIDEO and duration is not None:
-            pos = duration
-        if pos is None:
-            pos = last_pos
-        if open_pos is not None:
-            spans.append((open_pos, pos))
-        open_pos = pos if etype is EventType.PLAY_VIDEO else None
-        last_pos = pos if after is None else after
-
-    if duration is not None:
-        spans = [(max(0.0, min(s, duration)), max(0.0, min(e, duration))) for s, e in spans]
-    else:
-        spans = [(max(0.0, s), max(0.0, e)) for s, e in spans]
-    intervals = tuple(union_intervals(spans))
-
-    watch_fraction: Optional[float] = None
-    if duration is not None and duration > 0:
-        watched = sum(end - start for start, end in intervals)
-        watch_fraction = min(1.0, watched / duration)
-
-    return WatchRecord(
-        user_id=user_id,
-        video_id=video_id,
-        intervals=intervals,
-        duration=duration,
-        watch_fraction=watch_fraction,
-    )
-
-
 def _score_r_value(n_attempts: int, final_score: Optional[float], passing: float) -> int:
     if final_score is None or final_score < passing:
         return 4
@@ -205,120 +135,254 @@ def score_r(
     return _score_r_value(record.n_attempts, record.final_score, passing_threshold)
 
 
-def check_score(ev: Event) -> Optional[float]:
-    """Score of a problem check: ``grade / max_grade`` when it is graded,
-    else 0 for a failed check and absent for any other."""
-    payload = ev.payload
-    if isinstance(payload, ProblemPayload) and payload.grade is not None and payload.max_grade:
-        return payload.grade / payload.max_grade
-    if ev.event_type is EventType.PROBLEM_CHECK_FAIL:
-        return 0.0
-    return None
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+MICROSECOND = timedelta(microseconds=1)
+_TYPE_CODE = {etype.value: code for code, etype in enumerate(RETAINED_EVENT_TYPES)}
+_PLAY, _PAUSE, _SEEK, _STOP, _COMPLETE, _CHECK_FAIL = (
+    _TYPE_CODE[etype.value]
+    for etype in (EventType.PLAY_VIDEO, EventType.PAUSE_VIDEO, EventType.SEEK_VIDEO,
+                  EventType.STOP_VIDEO, EventType.COMPLETE_VIDEO, EventType.PROBLEM_CHECK_FAIL)
+)
+_PLAYHEAD_CODES = frozenset({_PLAY, _PAUSE, _SEEK, _STOP, _COMPLETE})
+_ATTEMPT_CODES = frozenset(_TYPE_CODE[etype.value] for etype in ATTEMPT_TYPES)
+_VIDEO, _PROBLEM = 1, 2  # payload kinds; 0 is none
+_COLUMNS = ("times", "types", "kinds", "content", "sessions")
 
 
-def problem_history(
-    events: Sequence[Event],
-    passing_threshold: float = DEFAULT_PASSING_THRESHOLD,
-) -> ProblemRecord:
-    """Attempt history for one (user, problem) event stream.
-
-    Checks and failed checks count as attempts; a failed check without grade
-    fields scores 0. Showing a problem or an answer is not an attempt, and
-    neither is ``problem_graded``.
-    """
-    user_id = events[0].user_id if events else ""
-    problem_id = ""
-    attempts: list[tuple[datetime, Optional[float]]] = []
-    for ev in events:
-        payload = ev.payload
-        if isinstance(payload, ProblemPayload) and not problem_id:
-            problem_id = payload.problem_id
-        if ev.event_type in ATTEMPT_TYPES:
-            attempts.append((ev.timestamp, check_score(ev)))
-
-    scored = [s for _, s in attempts if s is not None]
-    first_score = scored[0] if scored else None
-    final_score = scored[-1] if scored else None
-    n_attempts = len(attempts)
-    return ProblemRecord(
-        user_id=user_id,
-        problem_id=problem_id,
-        attempts=tuple(attempts),
-        first_score=first_score,
-        final_score=final_score,
-        n_attempts=n_attempts,
-        score_r=_score_r_value(n_attempts, final_score, passing_threshold)
-        if n_attempts
-        else None,
-    )
+def as_datetime(micros: int) -> datetime:
+    """The UTC instant ``micros`` microseconds after the epoch."""
+    return _EPOCH + timedelta(0, 0, micros)
 
 
-_timestamp = attrgetter("timestamp")
+def _take(column, rows: list[int]):
+    """``column``'s items at ``rows``, in a column of its type."""
+    taken = [column[row] for row in rows]
+    return array(column.typecode, taken) if isinstance(column, array) else type(column)(taken)
 
 
-def in_total_order(events: list[Event]) -> list[Event]:
-    """``events`` in (timestamp, canonical JSON) order, so identical event
-    multisets finalize and mine identically no matter how the log was split
-    or the shards merged. Only events that share a timestamp are serialized
-    for the tie-break."""
-    out: list[Event] = []
-    for _, run in groupby(sorted(events, key=_timestamp), key=_timestamp):
-        tied = list(run)
-        if len(tied) > 1:
-            tied.sort(key=event_to_json)
-        out.extend(tied)
-    return out
-
-
-@dataclass
 class StudentEvents:
-    """Mergeable per-(user, course) bucket of content events."""
+    """Mergeable per-(user, course) state: one student's events, column-wise.
 
-    user_id: str
-    course_id: str
-    video_events: dict[str, list[Event]] = field(default_factory=dict)
-    problem_events: dict[str, list[Event]] = field(default_factory=dict)
+    Row ``i`` is one event: ``times[i]`` (microseconds since the epoch),
+    ``types[i]`` (its index in ``RETAINED_EVENT_TYPES``), ``kinds[i]`` (its
+    payload: 0 none, 1 video, 2 problem), ``content[i]`` and ``sessions[i]``
+    (ids, shared with the parser), and ``values[4 * i:4 * i + 4]`` (its
+    payload's numbers in field order, NaN where absent, which the parser
+    never yields). Numbers are floats, as the parser yields them.
+    """
+
+    __slots__ = ("user_id", "course_id", *_COLUMNS, "values", "_ordered")
+
+    def __init__(self, user_id: str, course_id: str) -> None:
+        self.user_id, self.course_id = user_id, course_id
+        self.times, self.types, self.kinds = array("q"), bytearray(), bytearray()
+        self.content: list[Optional[str]] = []
+        self.sessions: list[Optional[str]] = []
+        self.values = array("d")
+        self._ordered = True
+
+    def __len__(self) -> int:
+        return len(self.times)
 
     def add(self, event: Event) -> None:
         payload = event.payload
         if isinstance(payload, VideoPayload):
-            self.video_events.setdefault(payload.video_id, []).append(event)
+            kind, content = _VIDEO, payload.video_id
+            a, b, c, d = payload.duration, payload.current_time, payload.old_time, payload.new_time
         elif isinstance(payload, ProblemPayload):
-            self.problem_events.setdefault(payload.problem_id, []).append(event)
+            kind, content = _PROBLEM, payload.problem_id
+            a, b, c, d = payload.grade, payload.max_grade, None, None
+        else:
+            kind, content, a, b, c, d = 0, None, None, None, None, None
+        self.times.append((event.timestamp - _EPOCH) // MICROSECOND)
+        self.types.append(_TYPE_CODE[event.event_type._value_])
+        self.kinds.append(kind)
+        self.content.append(content)
+        self.sessions.append(event.session_id)
+        self.values.fromlist([nan if a is None else a, nan if b is None else b,
+                              nan if c is None else c, nan if d is None else d])
+        self._ordered = False
 
     def merge(self, other: "StudentEvents") -> None:
-        for vid, evs in other.video_events.items():
-            self.video_events.setdefault(vid, []).extend(evs)
-        for pid, evs in other.problem_events.items():
-            self.problem_events.setdefault(pid, []).extend(evs)
+        for name in (*_COLUMNS, "values"):
+            getattr(self, name).extend(getattr(other, name))
+        self._ordered = False
+
+    def event(self, row: int) -> Event:
+        """Row ``row`` as an event."""
+        payload = None
+        kind = self.kinds[row]
+        if kind:
+            a, b, c, d = (None if x != x else x for x in self.values[4 * row:4 * row + 4])
+            if kind == _VIDEO:
+                payload = VideoPayload(self.content[row], a, b, c, d)
+            else:
+                payload = ProblemPayload(self.content[row], a, b)
+        return Event(self.user_id, self.course_id, self.sessions[row],
+                     as_datetime(self.times[row]), RETAINED_EVENT_TYPES[self.types[row]], payload)
+
+    def sort(self) -> None:
+        """Put the rows in total order, once: by time, then tied rows by the
+        canonical JSON of their events, so identical event multisets finalize
+        and mine identically no matter how the log was split or the shards
+        merged. Only tied rows are serialized."""
+        if self._ordered:
+            return
+        times = self.times.tolist()
+        if times != sorted(times) or len(set(times)) < len(times):  # else in order already
+            order: list[int] = []
+            for _, run in groupby(sorted(range(len(times)), key=times.__getitem__),
+                                  key=times.__getitem__):
+                tied = list(run)
+                if len(tied) > 1:
+                    tied.sort(key=lambda row: event_to_json(self.event(row)))
+                order.extend(tied)
+            for name in _COLUMNS:
+                setattr(self, name, _take(getattr(self, name), order))
+            self.values = _take(self.values, [4 * row + i for row in order for i in range(4)])
+        self._ordered = True
+
+    def _streams(self, kind: int) -> dict[str, list[int]]:
+        streams: dict[str, list[int]] = {}
+        for row, (row_kind, content) in enumerate(zip(self.kinds, self.content)):
+            if row_kind == kind:
+                streams.setdefault(content, []).append(row)
+        return streams
+
+    @property
+    def video_events(self) -> dict[str, list[int]]:
+        """Video id -> the rows of its events, in row order."""
+        return self._streams(_VIDEO)
+
+    @property
+    def problem_events(self) -> dict[str, list[int]]:
+        """Problem id -> the rows of its events, in row order."""
+        return self._streams(_PROBLEM)
+
+    def watch_record(self, rows: Iterable[int]) -> WatchRecord:
+        """Watched-content intervals of one video's rows, read in the given
+        order.
+
+        A play opens an interval; the next play/pause/stop/seek/complete closes
+        it (pause and stop at their playhead, seek at its pre-seek position,
+        complete at the video duration, a second play at its own position).
+        A close position the event does not carry is the last known playhead.
+        Transcript, load, and speed events never move the playhead. An unclosed
+        trailing play contributes nothing. Duration comes from the first event
+        carrying one; intervals are clamped to [0, duration] when it is known.
+        """
+        # NaN, the absent number, is the one value unequal to itself.
+        types, kinds, values = self.types, self.kinds, self.values
+        video_id = ""
+        duration = nan
+        spans: list[tuple[float, float]] = []
+        open_pos: Optional[float] = None
+        last_pos = 0.0
+        for row in rows:
+            etype = types[row]
+            pos = after = nan  # where the event closes an interval; the playhead after it
+            if kinds[row] == _VIDEO:
+                i = 4 * row
+                if not video_id:
+                    video_id = self.content[row]
+                if duration != duration:
+                    duration = values[i]
+                if etype == _SEEK:
+                    pos, after = values[i + 2], values[i + 3]
+                else:
+                    pos = values[i + 1]
+            if etype not in _PLAYHEAD_CODES:
+                continue
+            if etype == _COMPLETE and duration == duration:
+                pos = duration
+            if pos != pos:
+                pos = last_pos
+            if open_pos is not None:
+                spans.append((open_pos, pos))
+            open_pos = pos if etype == _PLAY else None
+            last_pos = pos if after != after else after
+
+        if duration == duration:
+            spans = [(max(0.0, min(s, duration)), max(0.0, min(e, duration))) for s, e in spans]
+        else:
+            spans = [(max(0.0, s), max(0.0, e)) for s, e in spans]
+        intervals = tuple(union_intervals(spans))
+        watch_fraction: Optional[float] = None
+        if duration > 0:  # so known
+            watch_fraction = min(1.0, sum(end - start for start, end in intervals) / duration)
+        return WatchRecord(self.user_id, video_id, intervals,
+                           None if duration != duration else duration, watch_fraction)
+
+    def check_score(self, row: int) -> Optional[float]:
+        """Score of a problem check: ``grade / max_grade`` when it is graded,
+        else 0 for a failed check and absent for any other."""
+        if self.kinds[row] == _PROBLEM:
+            grade, max_grade = self.values[4 * row], self.values[4 * row + 1]
+            if grade == grade and max_grade == max_grade and max_grade:
+                return grade / max_grade
+        return 0.0 if self.types[row] == _CHECK_FAIL else None
+
+    def problem_record(
+        self, rows: Iterable[int], passing_threshold: float = DEFAULT_PASSING_THRESHOLD
+    ) -> ProblemRecord:
+        """Attempt history of one problem's rows, read in the given order.
+
+        Checks and failed checks count as attempts; a failed check without grade
+        fields scores 0. Showing a problem or an answer is not an attempt, and
+        neither is ``problem_graded``.
+        """
+        problem_id = ""
+        attempts: list[tuple[datetime, Optional[float]]] = []
+        for row in rows:
+            if not problem_id and self.kinds[row] == _PROBLEM:
+                problem_id = self.content[row]
+            if self.types[row] in _ATTEMPT_CODES:
+                attempts.append((as_datetime(self.times[row]), self.check_score(row)))
+
+        scored = [s for _, s in attempts if s is not None]
+        first_score = scored[0] if scored else None
+        final_score = scored[-1] if scored else None
+        n_attempts = len(attempts)
+        return ProblemRecord(
+            user_id=self.user_id,
+            problem_id=problem_id,
+            attempts=tuple(attempts),
+            first_score=first_score,
+            final_score=final_score,
+            n_attempts=n_attempts,
+            score_r=_score_r_value(n_attempts, final_score, passing_threshold)
+            if n_attempts
+            else None,
+        )
 
     def finalize(
         self,
         manifest: Optional[CourseManifest] = None,
         passing_threshold: float = DEFAULT_PASSING_THRESHOLD,
     ) -> StudentAggregate:
-        """Reduce buffered events to the per-student aggregate.
+        """Reduce the student's events to their aggregate.
 
-        Deterministic: events are sorted by a total order and content ids
-        are visited sorted, so merge order never changes the output.
+        Deterministic: the rows are put in total order and content ids are
+        visited sorted, so merge order never changes the output.
         """
+        self.sort()
         first_plays: dict[str, datetime] = {}  # played video id -> its first play
         fractions: list[float] = []
-        for vid in sorted(self.video_events):
-            evs = in_total_order(self.video_events[vid])
-            for ev in evs:
-                if ev.event_type is EventType.PLAY_VIDEO:
-                    first_plays[vid] = ev.timestamp
-                    break
-            fraction = reconstruct_intervals(evs).watch_fraction
+        videos = self.video_events
+        for vid in sorted(videos):
+            rows = videos[vid]
+            first = next((row for row in rows if self.types[row] == _PLAY), None)
+            if first is not None:
+                first_plays[vid] = as_datetime(self.times[first])
+            fraction = self.watch_record(rows).watch_fraction
             if fraction is not None:
                 fractions.append(fraction)
 
         # Built in sorted problem-id order, which every mean below relies on.
         attempted: dict[str, ProblemRecord] = {}
-        for pid in sorted(self.problem_events):
-            evs = in_total_order(self.problem_events[pid])
-            rec = problem_history(evs, passing_threshold)
+        problems = self.problem_events
+        for pid in sorted(problems):
+            rec = self.problem_record(problems[pid], passing_threshold)
             if rec.n_attempts > 0:
                 attempted[pid] = rec
         n_problems = len(attempted)
@@ -375,6 +439,9 @@ def _order_fraction(
 
 
 StudentKey = tuple[str, str]
+Students = Mapping[StudentKey, StudentEvents]
+#: States as collect_student_events builds them, or events to collect.
+StudentsOrEvents = Union[Students, Iterable[Event]]
 
 
 def collect_student_events(events: Iterable[Event]) -> dict[StudentKey, StudentEvents]:
@@ -387,6 +454,12 @@ def collect_student_events(events: Iterable[Event]) -> dict[StudentKey, StudentE
             state = states[key] = StudentEvents(user_id=ev.user_id, course_id=ev.course_id)
         state.add(ev)
     return states
+
+
+def as_students(students: StudentsOrEvents) -> Students:
+    """``students`` when it maps keys to states, else the states
+    :func:`collect_student_events` builds from those events."""
+    return students if isinstance(students, Mapping) else collect_student_events(students)
 
 
 def merge_student_events(
@@ -410,13 +483,7 @@ def aggregate_student(
     course_id: str = "",
 ) -> StudentAggregate:
     """Aggregate one student's events (any order) into their metrics row."""
-    state = StudentEvents(user_id=user_id, course_id=course_id)
-    for ev in events:
-        if not state.user_id:
-            state.user_id = ev.user_id
-            state.course_id = ev.course_id
-        state.add(ev)
-    return state.finalize(manifest, passing_threshold)
+    return _student(events, user_id, course_id).finalize(manifest, passing_threshold)
 
 
 def aggregate_corpus(
@@ -430,3 +497,31 @@ def aggregate_corpus(
         states[key].finalize(manifest, passing_threshold)
         for key in sorted(states, key=lambda k: (k[1], k[0]))
     ]
+
+
+def _student(events: Iterable[Event], user_id: str = "", course_id: str = "") -> StudentEvents:
+    """One state holding ``events`` in their order, keyed by the first
+    event's ids unless they are given."""
+    state = StudentEvents(user_id, course_id)
+    for ev in events:
+        if not state.user_id:
+            state.user_id, state.course_id = ev.user_id, ev.course_id
+        state.add(ev)
+    return state
+
+
+def reconstruct_intervals(events: Sequence[Event]) -> WatchRecord:
+    """Watched-content intervals for one (user, video) event stream, in its
+    order: :meth:`StudentEvents.watch_record`."""
+    state = _student(events)
+    return state.watch_record(range(len(state)))
+
+
+def problem_history(
+    events: Sequence[Event],
+    passing_threshold: float = DEFAULT_PASSING_THRESHOLD,
+) -> ProblemRecord:
+    """Attempt history for one (user, problem) event stream, in its order:
+    :meth:`StudentEvents.problem_record`."""
+    state = _student(events)
+    return state.problem_record(range(len(state)), passing_threshold)

@@ -17,10 +17,10 @@ import csv
 from dataclasses import dataclass
 from datetime import timedelta
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
-from .engagement import DEFAULT_PASSING_THRESHOLD, check_score, in_total_order
-from .events import Event, EventType, RETAINED_EVENT_TYPES
+from .engagement import DEFAULT_PASSING_THRESHOLD, StudentsOrEvents, as_students
+from .events import EventType, RETAINED_EVENT_TYPES
 from .sessions import DEFAULT_GAP, group_into_sessions
 
 CHECK_PASS = "check_pass"
@@ -64,45 +64,44 @@ class SequencePattern:
 
 
 def encode_sequences(
-    events: Iterable[Event],
+    students: StudentsOrEvents,
     granularity: str = "per_session",
     split_check_outcome: bool = False,
     passing_threshold: float = DEFAULT_PASSING_THRESHOLD,
     gap: timedelta = DEFAULT_GAP,
     collapse_runs: bool = False,
 ) -> tuple[list[SymbolSequence], SymbolAlphabet]:
-    """Turn parsed events into one symbol sequence per (user, course) or per
-    session."""
+    """One symbol sequence per (user, course) student, or per session of
+    one, from ``collect_student_events``' states or from events to collect."""
     if granularity not in ("per_user", "per_session"):
         raise ValueError(f"unknown granularity: {granularity!r}")
     alphabet = build_alphabet(split_check_outcome)
     codes = {name: i for i, name in enumerate(alphabet.names)}
+    symbol_of_type = [codes.get(etype.value) for etype in RETAINED_EVENT_TYPES]
+    check = RETAINED_EVENT_TYPES.index(EventType.PROBLEM_CHECK) if split_check_outcome else None
 
-    # One student in two course instances yields separate sequences.
-    by_student: dict[tuple[str, str], list[Event]] = {}
-    for ev in events:
-        by_student.setdefault((ev.user_id, ev.course_id), []).append(ev)
-
-    def symbol_for(ev: Event) -> int:
-        name = ev.event_type.value
-        if split_check_outcome and ev.event_type is EventType.PROBLEM_CHECK:
-            score = check_score(ev)
-            name = CHECK_PASS if score is not None and score >= passing_threshold else CHECK_FAIL
-        return codes[name]
-
+    students = as_students(students)
     sequences: list[SymbolSequence] = []
-    for user_id, course_id in sorted(by_student):
-        # The order finalize uses: tied events must not keep their input
-        # order, or the output would depend on how the log was split.
-        user_events = in_total_order(by_student[user_id, course_id])
+    for key in sorted(students):
+        student = students[key]
+        # Rows in the order finalize uses: tied events must not keep their
+        # input order, or the output would depend on how the log was split.
         if granularity == "per_user":
-            groups = [(user_id, user_events)]
+            student.sort()
+            groups = [(student.user_id, range(len(student)))]
         else:
-            groups = group_into_sessions(user_events, gap)
-        for owner, evs in groups:
+            groups = group_into_sessions(student, gap)
+        types = student.types
+        for owner, rows in groups:
             symbols: list[int] = []
-            for ev in evs:
-                code = symbol_for(ev)
+            for row in rows:
+                etype = types[row]
+                if etype == check:
+                    score = student.check_score(row)
+                    passed = score is not None and score >= passing_threshold
+                    code = codes[CHECK_PASS if passed else CHECK_FAIL]
+                else:
+                    code = symbol_of_type[etype]
                 if collapse_runs and symbols and symbols[-1] == code:
                     continue
                 symbols.append(code)

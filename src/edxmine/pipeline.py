@@ -14,13 +14,19 @@ import math
 import re
 from dataclasses import dataclass, field
 from datetime import date, timedelta
+from functools import reduce
+from itertools import chain
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .classify import CLASS_NAMES, FieldCheck, OrdinalClass, RuleConfig, check_fields, classify
 from .engagement import (
     DEFAULT_PASSING_THRESHOLD,
     StudentAggregate,
+    StudentEvents,
+    StudentKey,
+    Students,
+    as_datetime,
     collect_student_events,
 )
 from .events import Event, ParseStats, iter_events
@@ -185,74 +191,72 @@ def load_run_manifest(path: Union[str, Path]) -> RunManifest:
     )
 
 
-def _existing(paths: Sequence[Union[str, Path]]) -> list[Path]:
-    """``paths`` as Paths; a missing file is an input error before any log
-    is read."""
+def _events(paths: Sequence[Union[str, Path]], per_file: list) -> Iterator[Event]:
+    """The retained events of many files in input order, equal ids sharing
+    one string object across the files. Each file's tallies are appended to
+    ``per_file`` as it is opened. A missing file is an input error before any
+    log is read."""
     paths = [Path(p) for p in paths]
     for p in paths:
         if not p.exists():
             raise InputError(f"log file not found: {p}")
-    return paths
+    memo: dict[str, str] = {}
+
+    def parse(path: Path) -> Iterator[Event]:
+        stats = ParseStats()
+        per_file.append((str(path), stats))
+        return iter_events(path, stats, memo)
+
+    # chain, not a generator of ours, so no extra frame resumes per event.
+    return chain.from_iterable(map(parse, paths))
+
+
+def _total(per_file: list) -> ParseStats:
+    return reduce(ParseStats.merge, (stats for _, stats in per_file), ParseStats())
 
 
 def parse_log_files(
     paths: Sequence[Union[str, Path]],
-) -> tuple[ParseStats, list[Event], list[tuple[str, ParseStats]]]:
-    """Parse many files in input order: the total tallies, every retained
-    event, and each file's tallies. Equal ids share one string object
-    across all the files."""
-    total = ParseStats()
-    events: list[Event] = []
-    per_file = []
-    memo: dict[str, str] = {}
-    for path in _existing(paths):
-        stats = ParseStats()
-        events.extend(iter_events(path, stats, memo))
-        total = total.merge(stats)
-        per_file.append((str(path), stats))
-    return total, events, per_file
+) -> tuple[ParseStats, dict[StudentKey, StudentEvents], list[tuple[str, ParseStats]]]:
+    """Parse many files in one pass into per-(user, course) states, keeping
+    no list of events: the total tallies, the states, and each file's
+    tallies."""
+    per_file: list[tuple[str, ParseStats]] = []
+    students = collect_student_events(_events(paths, per_file))
+    return _total(per_file), students, per_file
 
 
 def validate_files(
     paths: Sequence[Union[str, Path]],
 ) -> tuple[ParseStats, list[tuple[str, ParseStats]]]:
     """Streaming per-file parse tallies; events are discarded, not held."""
-    total = ParseStats()
-    per_file = []
-    memo: dict[str, str] = {}
-    for path in _existing(paths):
-        stats = ParseStats()
-        for _ in iter_events(path, stats, memo):
-            pass
-        total = total.merge(stats)
-        per_file.append((str(path), stats))
-    return total, per_file
+    per_file: list[tuple[str, ParseStats]] = []
+    for _ in _events(paths, per_file):
+        pass
+    return _total(per_file), per_file
 
 
 def assign_cohorts(
-    events: Sequence[Event], cohorts: Sequence[CohortRule]
-) -> tuple[dict, int]:
-    """First-match cohort per course_id; unmatched events are dropped and
-    counted."""
+    students: Students, cohorts: Sequence[CohortRule]
+) -> tuple[dict[CohortId, dict[StudentKey, StudentEvents]], int]:
+    """First-match cohort per course_id, each course_id matched once; the
+    events of students in no cohort are dropped and counted."""
     compiled = [(re.compile(rule.pattern), rule.cohort) for rule in cohorts]
-    cache: dict[str, Optional[CohortId]] = {}
-    by_cohort: dict[CohortId, list[Event]] = {}
+    cohort_of: dict[str, Optional[CohortId]] = {}
+    by_cohort: dict[CohortId, dict[StudentKey, StudentEvents]] = {}
     unmatched = 0
-    for ev in events:
-        cohort = cache.get(ev.course_id, _UNSET)
-        if cohort is _UNSET:
-            cohort = next(
-                (c for pattern, c in compiled if pattern.search(ev.course_id)), None
+    for key, student in students.items():
+        course = student.course_id
+        if course not in cohort_of:
+            cohort_of[course] = next(
+                (c for pattern, c in compiled if pattern.search(course)), None
             )
-            cache[ev.course_id] = cohort
+        cohort = cohort_of[course]
         if cohort is None:
-            unmatched += 1
+            unmatched += len(student)
         else:
-            by_cohort.setdefault(cohort, []).append(ev)
+            by_cohort.setdefault(cohort, {})[key] = student
     return by_cohort, unmatched
-
-
-_UNSET = object()
 
 
 def _year_from_label(label: str) -> Optional[int]:
@@ -261,10 +265,11 @@ def _year_from_label(label: str) -> Optional[int]:
 
 
 def resolve_anchor(
-    cohort: CohortId, run: RunManifest, events: Sequence[Event]
+    cohort: CohortId, run: RunManifest, students: Students
 ) -> date:
     """Weekly anchor: explicit config, else course start for on-campus,
-    else January 1 of the online instance year, else earliest event."""
+    else January 1 of the online instance year, else the cohort's earliest
+    event."""
     if cohort.label in run.anchors:
         return run.anchors[cohort.label]
     if cohort.modality == "on_campus" and run.manifest and run.manifest.course_start:
@@ -273,9 +278,9 @@ def resolve_anchor(
     year = _year_from_label(cohort.term_label) if online else None
     if year is not None:
         return date(year, 1, 1)
-    if not events:
+    if not students:
         return date(1970, 1, 1)
-    earliest = min(e.timestamp for e in events)
+    earliest = as_datetime(min(min(student.times) for student in students.values()))
     return date(earliest.year, 1, 1) if online else earliest.date()
 
 
@@ -298,8 +303,9 @@ def run_pipeline(
 ) -> PipelineResult:
     """Full batch: validate/parse, aggregate, classify, emit all report tables."""
     # Inputs are read before any output exists, so a bad input writes nothing.
-    total_stats, events, per_file = parse_log_files(log_paths)
-    by_cohort, unmatched = assign_cohorts(events, run.cohorts)
+    total_stats, students, per_file = parse_log_files(log_paths)
+    by_cohort, unmatched = assign_cohorts(students, run.cohorts)
+    del students  # the states of students in no cohort go with it
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -308,9 +314,9 @@ def run_pipeline(
     classes_by_cohort: dict[CohortId, list[OrdinalClass]] = {}
     pairs_by_cohort: dict[CohortId, list] = {}
     for cohort in sorted(by_cohort, key=lambda c: c.label):
-        states = collect_student_events(by_cohort[cohort])
-        for key in sorted(states, key=lambda k: (k[1], k[0])):
-            agg = states[key].finalize(run.manifest, run.passing_threshold)
+        students = by_cohort[cohort]
+        for key in sorted(students, key=lambda k: (k[1], k[0])):
+            agg = students[key].finalize(run.manifest, run.passing_threshold)
             assigned = classify(agg, run.rules)
             rows.append((cohort, agg, assigned))
             classes_by_cohort.setdefault(cohort, []).append(assigned)
@@ -439,13 +445,15 @@ def run_mining(
         selected = list(CLASS_NAMES)
 
     student_classes = read_classifications(classifications_path)
-    _, events, _ = parse_log_files(log_paths)
-    events_by_class: dict[str, list[Event]] = {name: [] for name in selected}
-    for ev in events:
-        bucket = events_by_class.get(student_classes.get((ev.user_id, ev.course_id)))
+    _, students, _ = parse_log_files(log_paths)
+    students_by_class: dict[str, dict[StudentKey, StudentEvents]] = {
+        name: {} for name in selected
+    }
+    for key, student in students.items():
+        bucket = students_by_class.get(student_classes.get(key))
         if bucket is not None:
-            bucket.append(ev)
-    del events
+            bucket[key] = student
+    del students
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -457,13 +465,13 @@ def run_mining(
         "collapse_runs": collapse_runs,
     }
 
-    # Encode every class before mining any, so the parsed events are freed
-    # before the miner builds its suffix tables.
+    # Encode every class before mining any, so the students' states are
+    # freed before the miner builds its suffix tables.
     sequences_by_class = {}
     alphabet = None
     for name in selected:
         sequences_by_class[name], alphabet = encode_sequences(
-            events_by_class.pop(name),
+            students_by_class.pop(name),
             granularity=granularity,
             split_check_outcome=split_check_outcome,
             passing_threshold=run.passing_threshold,

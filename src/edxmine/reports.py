@@ -17,8 +17,7 @@ from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
 from .classify import OrdinalClass
-from .engagement import StudentAggregate
-from .events import Event
+from .engagement import StudentAggregate, StudentsOrEvents, as_students
 from .sessions import DEFAULT_GAP, build_sessions, weekly_presence
 
 
@@ -71,25 +70,20 @@ class WeeklyRow:
 
 
 def enrollment_table(
-    events_by_cohort: Mapping[CohortId, Sequence[Event]],
+    students_by_cohort: Mapping[CohortId, StudentsOrEvents],
     gap: timedelta = DEFAULT_GAP,
 ) -> list[EnrollmentRow]:
+    """Per cohort: its students, each one (user, course) pair, their events
+    and their sessions."""
     rows = []
-    for cohort in sorted(events_by_cohort, key=lambda c: c.label):
-        events = events_by_cohort[cohort]
-        by_user: dict[str, list[Event]] = {}
-        for ev in events:
-            by_user.setdefault(ev.user_id, []).append(ev)
-        n_sessions = 0
-        for user_id in sorted(by_user):
-            user_events = sorted(by_user[user_id], key=lambda e: e.timestamp)
-            n_sessions += len(build_sessions(user_events, gap))
+    for cohort in sorted(students_by_cohort, key=lambda c: c.label):
+        students = as_students(students_by_cohort[cohort]).values()
         rows.append(
             EnrollmentRow(
                 cohort=cohort,
-                users=len(by_user),
-                user_events=len(events),
-                sessions=n_sessions,
+                users=len(students),
+                user_events=sum(len(student) for student in students),
+                sessions=sum(len(build_sessions(student, gap)) for student in students),
             )
         )
     return rows
@@ -245,14 +239,14 @@ def scorer_distribution(
 
 
 def weekly_report(
-    events_by_cohort: Mapping[CohortId, Sequence[Event]],
+    students_by_cohort: Mapping[CohortId, StudentsOrEvents],
     anchors: Mapping[CohortId, date],
 ) -> tuple[list[WeeklyRow], dict]:
     """Weekly new/returning rows per cohort plus dropped-event counts."""
     rows = []
     dropped = {}
-    for cohort in sorted(events_by_cohort, key=lambda c: c.label):
-        presence = weekly_presence(events_by_cohort[cohort], anchors[cohort])
+    for cohort in sorted(students_by_cohort, key=lambda c: c.label):
+        presence = weekly_presence(students_by_cohort[cohort], anchors[cohort])
         dropped[cohort.label] = presence.dropped_before_anchor
         for week in presence.weeks:
             rows.append(

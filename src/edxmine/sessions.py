@@ -1,4 +1,4 @@
-"""Sessionization and week bucketing.
+"""Sessionization and week bucketing of per-(user, course) student states.
 
 Events carrying an explicit session id are grouped by that id; events
 without one fall back to inactivity-gap splitting (default 30 minutes).
@@ -6,13 +6,14 @@ without one fall back to inactivity-gap splitting (default 30 minutes).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
-from typing import Iterable, Optional, Sequence
 
-from .events import Event
+from .engagement import MICROSECOND, StudentEvents, StudentsOrEvents, as_datetime, as_students
 
 DEFAULT_GAP = timedelta(minutes=30)
+_DAY = timedelta(days=1) // MICROSECOND
 
 
 class BeforeAnchorError(ValueError):
@@ -36,49 +37,48 @@ class WeekActivity:
 
 
 def group_into_sessions(
-    events: Sequence[Event], gap: timedelta = DEFAULT_GAP
-) -> list[tuple[str, list[Event]]]:
-    """Group one user's time-sorted events into sessions.
+    student: StudentEvents, gap: timedelta = DEFAULT_GAP
+) -> list[tuple[str, list[int]]]:
+    """Group one student's rows, put in total order, into sessions.
 
-    Returns (session_key, events) pairs ordered by session start. Fallback
+    Returns (session_key, rows) pairs ordered by session start. Fallback
     sessions split when the inter-event interval strictly exceeds ``gap``.
     """
-    explicit: dict[str, list[Event]] = {}
-    fallback_runs: list[list[Event]] = []
-    last_ts: Optional[datetime] = None
-    for ev in events:
-        if ev.session_id is not None:
-            explicit.setdefault(ev.session_id, []).append(ev)
+    student.sort()
+    times = student.times
+    gap_micros = gap // MICROSECOND
+    explicit: dict[str, list[int]] = {}
+    fallback_runs: list[list[int]] = []
+    last = None
+    for row, session_id in enumerate(student.sessions):
+        if session_id is not None:
+            explicit.setdefault(session_id, []).append(row)
             continue
-        if last_ts is None or ev.timestamp - last_ts > gap or not fallback_runs:
-            fallback_runs.append([ev])
+        if last is None or times[row] - last > gap_micros:
+            fallback_runs.append([row])
         else:
-            fallback_runs[-1].append(ev)
-        last_ts = ev.timestamp
+            fallback_runs[-1].append(row)
+        last = times[row]
 
-    user_id = events[0].user_id if events else ""
-    groups: list[tuple[str, list[Event]]] = [(sid, evs) for sid, evs in explicit.items()]
-    groups.extend(
-        (f"{user_id}~{i}", run) for i, run in enumerate(fallback_runs)
-    )
-    groups.sort(key=lambda pair: (pair[1][0].timestamp, pair[0]))
+    groups = list(explicit.items())
+    groups.extend((f"{student.user_id}~{i}", run) for i, run in enumerate(fallback_runs))
+    groups.sort(key=lambda pair: (times[pair[1][0]], pair[0]))
     return groups
 
 
-def build_sessions(events: Sequence[Event], gap: timedelta = DEFAULT_GAP) -> list[Session]:
-    """Sessions for one user's events, sorted ascending by timestamp."""
-    sessions = []
-    for key, evs in group_into_sessions(events, gap):
-        sessions.append(
-            Session(
-                session_key=key,
-                user_id=evs[0].user_id,
-                start=min(e.timestamp for e in evs),
-                end=max(e.timestamp for e in evs),
-                event_count=len(evs),
-            )
+def build_sessions(student: StudentEvents, gap: timedelta = DEFAULT_GAP) -> list[Session]:
+    """Sessions of one student, sorted ascending by start."""
+    times = student.times
+    return [
+        Session(
+            session_key=key,
+            user_id=student.user_id,
+            start=as_datetime(times[rows[0]]),
+            end=as_datetime(times[rows[-1]]),
+            event_count=len(rows),
         )
-    return sessions
+        for key, rows in group_into_sessions(student, gap)
+    ]
 
 
 def week_index(timestamp: datetime, anchor: date) -> int:
@@ -95,27 +95,30 @@ class WeeklyPresence:
     dropped_before_anchor: int
 
 
-def weekly_presence(events: Iterable[Event], anchor: date) -> WeeklyPresence:
-    """Per-week new and returning user counts.
+def weekly_presence(students: StudentsOrEvents, anchor: date) -> WeeklyPresence:
+    """Per-week new and returning student counts, a student being one (user,
+    course) pair: ``collect_student_events``' states, or events to collect.
 
-    A user is new in the week of their earliest in-range event and returning
-    in every later week they are active. Events before the anchor are dropped
-    and counted, never fatal.
+    A student is new in the week of their earliest in-range event and
+    returning in every later week they are active. Events before the anchor
+    are dropped and counted, never fatal.
     """
-    active_weeks: dict[str, set[int]] = {}
+    active_weeks: list[set[int]] = []
     dropped = 0
-    for ev in events:
-        try:
-            week = week_index(ev.timestamp, anchor)
-        except BeforeAnchorError:
-            dropped += 1
-            continue
-        active_weeks.setdefault(ev.user_id, set()).add(week)
+    for student in as_students(students).values():
+        weeks = set()
+        for day, events in Counter(micros // _DAY for micros in student.times).items():
+            try:
+                weeks.add(week_index(as_datetime(day * _DAY), anchor))
+            except BeforeAnchorError:
+                dropped += events
+        if weeks:
+            active_weeks.append(weeks)
 
-    n_weeks = max((max(w) for w in active_weeks.values()), default=-1) + 1
+    n_weeks = max((max(w) for w in active_weeks), default=-1) + 1
     new = [0] * n_weeks
     active = [0] * n_weeks
-    for weeks in active_weeks.values():
+    for weeks in active_weeks:
         new[min(weeks)] += 1
         for week in weeks:
             active[week] += 1

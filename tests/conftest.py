@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -192,4 +193,40 @@ def random_video_events(rng: random.Random, video: str = "v1") -> list[Event]:
         events.append(video_event(name, video=video, t=t, **kwargs))
         first = False
         t += rng.uniform(1.0, 30.0)
+    return events
+
+
+def random_corpus_with_ties(rng: random.Random, n_users: int = 6) -> list[Event]:
+    """Shuffled events of ``n_users`` users in one or two courses, with float
+    numbers as the parser yields them: random video streams and problem
+    attempts and, per user, a few events in one millisecond. Those include a
+    seek that also carries ``current_time``, ``-0.0`` positions next to
+    ``0.0``, and events without a payload."""
+    events = []
+    for u in range(n_users):
+        user = f"user{u}"
+        course = rng.choice(["c1", "c2"])
+        for v in range(rng.randint(0, 3)):
+            events += [replace(ev, user_id=user, course_id=course)
+                       for ev in random_video_events(rng, video=f"v{v}")]
+        for p in range(rng.randint(0, 3)):
+            for _ in range(rng.randint(1, 4)):
+                name = rng.choice(["problem_check", "problem_check_fail", "problem_show"])
+                events.append(problem_event(
+                    name, problem=f"p{p}", t=round(rng.uniform(0, 300), 3), user=user,
+                    course=course, grade=rng.choice([None, 0.0, 0.5, 1.0]), max_grade=1.0,
+                ))
+        t = round(rng.uniform(0, 300), 3)
+        tied = [
+            video_event("seek_video", t=t, user=user, course=course,
+                        current_time=rng.choice([0.0, -0.0]), old_time=-0.0, new_time=0.0),
+            video_event("play_video", t=t, user=user, course=course, current_time=0.0),
+            video_event("play_video", t=t, user=user, course=course, current_time=-0.0),
+            bare_event("problem_check", t=t, user=user, course=course),
+            bare_event("load_video", t=t, user=user, course=course, session=f"{user}-s"),
+            problem_event("problem_check", t=t, user=user, course=course, grade=0.5,
+                          max_grade=1.0),
+        ]
+        events += rng.sample(tied, rng.randint(2, len(tied)))
+    rng.shuffle(events)
     return events

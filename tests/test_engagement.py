@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from itertools import chain
@@ -11,6 +12,7 @@ import edxmine.engagement as engagement
 from edxmine.engagement import (
     NoAttemptsError,
     StudentAggregate,
+    StudentEvents,
     aggregate_corpus,
     aggregate_student,
     collect_student_events,
@@ -20,9 +22,17 @@ from edxmine.engagement import (
     score_r,
     union_intervals,
 )
-from edxmine.events import EventType, VideoPayload, event_to_json
+from edxmine.events import EventType, VideoPayload, event_to_json, parse_events
 from edxmine.manifest import parse_manifest
-from conftest import at, bare_event, problem_event, random_video_events, video_event
+from edxmine.synth import default_corpus_spec, generate_corpus
+from conftest import (
+    at,
+    bare_event,
+    problem_event,
+    random_corpus_with_ties,
+    random_video_events,
+    video_event,
+)
 
 
 def oracle_watch_fraction(events) -> float | None:
@@ -588,10 +598,10 @@ def tie_corpus(rng: random.Random, n_users: int = 3) -> list:
     return events
 
 
-def _tied(stream) -> list:
-    """Events of one stream whose timestamp another event shares."""
-    counts = Counter(ev.timestamp for ev in stream)
-    return [ev for ev in stream if counts[ev.timestamp] > 1]
+def _tied(events) -> list:
+    """Those of ``events`` whose timestamp another of them shares."""
+    counts = Counter(ev.timestamp for ev in events)
+    return [ev for ev in events if counts[ev.timestamp] > 1]
 
 
 class TestMergeOrderIndependence:
@@ -625,16 +635,17 @@ class TestMergeOrderIndependence:
 
     def test_ties_broken_by_canonical_json(self, monkeypatch):
         # Streams reach the reducers in (timestamp, canonical JSON) order,
-        # and only events that share a timestamp are serialized.
+        # and only events that share a timestamp with another event of the
+        # same student are serialized: each student's events are sorted once.
         streams: list = []
-        for name in ("reconstruct_intervals", "problem_history"):
-            reducer = getattr(engagement, name)
+        for name in ("watch_record", "problem_record"):
+            reducer = getattr(StudentEvents, name)
 
-            def recording(evs, *args, _reducer=reducer, **kwargs):
-                streams.append(list(evs))
-                return _reducer(evs, *args, **kwargs)
+            def recording(state, rows, *args, _reducer=reducer, **kwargs):
+                streams.append([state.event(row) for row in rows])
+                return _reducer(state, rows, *args, **kwargs)
 
-            monkeypatch.setattr(engagement, name, recording)
+            monkeypatch.setattr(StudentEvents, name, recording)
         serialized: list = []
 
         def counting(ev):
@@ -643,10 +654,59 @@ class TestMergeOrderIndependence:
 
         monkeypatch.setattr(engagement, "event_to_json", counting)
         rng = random.Random(5)
-        aggregate_corpus(tie_corpus(rng) + random_corpus(rng))
+        events = tie_corpus(rng) + random_corpus(rng)
+        aggregate_corpus(events)
 
+        assert streams
         for stream in streams:
             assert stream == sorted(stream, key=lambda e: (e.timestamp, event_to_json(e)))
-        tied = [ev for stream in streams for ev in _tied(stream)]
+        by_student: dict = {}
+        for ev in events:
+            by_student.setdefault((ev.user_id, ev.course_id), []).append(ev)
+        tied = [ev for student in by_student.values() for ev in _tied(student)]
         assert len(tied) > 0
         assert len(serialized) == len(tied)
+
+
+class TestStudentEvents:
+    def test_rows_are_the_events_in_total_order(self):
+        # The total order: by timestamp, then tied events by canonical JSON.
+        rng = random.Random(20261018)
+        seen: Counter = Counter()
+        for _ in range(60):
+            events = random_corpus_with_ties(rng)
+            by_student: dict = {}
+            for ev in events:
+                by_student.setdefault((ev.user_id, ev.course_id), []).append(ev)
+            states = collect_student_events(events)
+            assert states.keys() == by_student.keys()
+            for key, state in states.items():
+                state.sort()
+                rows = [state.event(row) for row in range(len(state))]
+                expected = sorted(by_student[key], key=lambda e: (e.timestamp, event_to_json(e)))
+                assert [event_to_json(e) for e in rows] == [event_to_json(e) for e in expected]
+                assert rows == expected
+                seen["tied"] += len(_tied(expected))
+                seen["-0.0"] += sum(":-0.0" in event_to_json(e) for e in expected)
+                seen["no payload"] += sum(e.payload is None for e in expected)
+                seen["seek with current_time"] += sum(
+                    e.event_type is EventType.SEEK_VIDEO and e.payload.current_time is not None
+                    for e in expected
+                )
+        assert min(seen.values()) > 0 and len(seen) == 4, seen
+
+    def test_states_hold_at_most_half_the_bytes_of_parsed_events(self):
+        """Under tracemalloc, the states of this synth corpus (80 students,
+        5,237 events) hold 69 B per event on CPython 3.11. A parsed event,
+        as the list of events they replace kept it, held 245 B; the bound is
+        half of that."""
+        corpus = generate_corpus(default_corpus_spec(users_per_class=10, seed=7))
+        events = list(parse_events(corpus.lines, None, {}))
+        tracemalloc.start()
+        try:
+            states = collect_student_events(events)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(len(state) for state in states.values()) == len(events) == 5237
+        assert held / len(events) <= 245 / 2

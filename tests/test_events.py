@@ -373,7 +373,8 @@ class TestFileReading:
             ]
             paths.append(tmp_path / name)
             paths[-1].write_text("\n".join(lines * 2) + "\n")
-        _, events, _ = parse_log_files(paths)
+        _, students, _ = parse_log_files(paths)
+        events = [state.event(row) for state in students.values() for row in range(len(state))]
         assert len(events) == 16
         for field, distinct in (
             (lambda ev: ev.user_id, 2),

@@ -16,7 +16,9 @@ import pytest
 
 import edxmine
 from edxmine.cli import main
+from edxmine.engagement import collect_student_events
 from edxmine.manifest import BlockKind, manifest_to_dict
+from edxmine.patterns import encode_sequences
 from edxmine.pipeline import (
     CohortRule,
     InputError,
@@ -162,7 +164,7 @@ class TestCohortAssignment:
             CohortRule("2021", CohortId("on_campus", "2021")),
             CohortRule("GTX", CohortId("online", "any")),
         ]
-        by_cohort, unmatched = assign_cohorts(events, rules)
+        by_cohort, unmatched = assign_cohorts(collect_student_events(events), rules)
         assert unmatched == 1
         assert len(by_cohort[CohortId("on_campus", "2021")]) == 1
         assert len(by_cohort[CohortId("online", "any")]) == 1
@@ -187,7 +189,8 @@ class TestAnchors:
     def test_fallback_to_earliest_event(self):
         cohort = CohortId("on_campus", "whenever")
         events = [bare_event("problem_show", t=0)]
-        assert resolve_anchor(cohort, RunManifest(), events) == events[0].timestamp.date()
+        students = collect_student_events(events)
+        assert resolve_anchor(cohort, RunManifest(), students) == events[0].timestamp.date()
 
 
 class TestMinSupport:
@@ -344,6 +347,54 @@ class TestRunPipeline:
                 for row in rows:
                     assert len(row) == len(rows[0]), (path.name, row)
                     assert not {field.lower() for field in row} & {"nan", "inf", "-inf"}, row
+
+    def test_reports_count_each_course_instance_as_a_student(self, tmp_path):
+        # One user plays a video in two instances of one course, five minutes
+        # apart, with no session ids, under the default cohort.
+        lines = [
+            raw_line("play_video", user="u1", course=course, session=None, time=time,
+                     event={"id": "v1", "currentTime": 0.0})
+            for course, time in (("course-v1:X+CS1301+1T2021a", "2021-08-30T10:00:00.000Z"),
+                                 ("course-v1:X+CS1301+2T2021", "2021-08-30T10:05:00.000Z"))
+        ]
+        log = tmp_path / "events.log"
+        log.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        run_pipeline(RunManifest(), [log], out)
+        run_mining(RunManifest(), [log], out / "classifications.csv", out, min_support=1)
+
+        def rows(name):
+            with open(out / name, newline="") as handle:
+                return list(csv.DictReader(handle))
+
+        assert len(rows("classifications.csv")) == 2
+        enrollment = rows("enrollment.csv")
+        assert [(r["cohort"], r["users"], r["user_events"], r["sessions"]) for r in enrollment] == [
+            ("online:all", "2", "2", "2")
+        ]
+        week = next(r for r in rows("weekly.csv") if r["week_index"] == "34")
+        assert (week["new_users"], week["returning_users"]) == ("2", "0")
+        no_show = {r["pattern"]: r["support"] for r in rows("patterns_no_show.csv")}
+        assert no_show["play_video"] == "2"
+
+    def test_enrollment_counts_match_breakdown_and_mined_sessions(self, small_corpus, tmp_path):
+        # Per cohort, enrollment users are the students the breakdown counts,
+        # and sessions are the per-session sequences mining builds for them.
+        run = load_run_manifest(small_corpus["run_config"])
+        out = tmp_path / "out"
+        result = run_pipeline(run, [small_corpus["events"]], out)
+        by_cohort, _ = assign_cohorts(parse_log_files([small_corpus["events"]])[1], run.cohorts)
+        with open(result.files["enrollment"], newline="") as handle:
+            enrollment = {row["cohort"]: row for row in csv.DictReader(handle)}
+        with open(result.files["breakdown"], newline="") as handle:
+            breakdown = list(csv.DictReader(handle))
+        assert set(enrollment) == {cohort.label for cohort in by_cohort}
+        for cohort, students in by_cohort.items():
+            row = enrollment[cohort.label]
+            counted = sum(int(r["count"]) for r in breakdown if r["cohort"] == cohort.label)
+            assert int(row["users"]) == counted == len(students)
+            sequences, _ = encode_sequences(students, gap=run.gap)
+            assert int(row["sessions"]) == len(sequences)
 
     def test_zero_event_input(self, tmp_path):
         empty = tmp_path / "empty.log"

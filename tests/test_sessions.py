@@ -5,6 +5,7 @@ from datetime import date, timedelta
 
 import pytest
 
+from edxmine.engagement import StudentEvents, collect_student_events
 from edxmine.sessions import (
     BeforeAnchorError,
     build_sessions,
@@ -17,10 +18,16 @@ from conftest import at, bare_event
 ANCHOR = date(2021, 8, 23)
 
 
+def student(events) -> StudentEvents:
+    """The one (user, course) state that ``events`` make."""
+    (state,) = collect_student_events(events).values()
+    return state
+
+
 class TestBuildSessions:
     def test_shared_session_id(self):
         events = [bare_event("problem_show", t=i * 60, session="s1") for i in range(3)]
-        sessions = build_sessions(events)
+        sessions = build_sessions(student(events))
         assert len(sessions) == 1
         assert sessions[0].session_key == "s1"
         assert sessions[0].event_count == 3
@@ -29,16 +36,16 @@ class TestBuildSessions:
 
     def test_gap_split_above(self):
         events = [bare_event("problem_show", t=0), bare_event("problem_show", t=31 * 60)]
-        assert len(build_sessions(events, gap=timedelta(minutes=30))) == 2
+        assert len(build_sessions(student(events), gap=timedelta(minutes=30))) == 2
 
     def test_gap_no_split_below(self):
         events = [bare_event("problem_show", t=0), bare_event("problem_show", t=29 * 60)]
-        assert len(build_sessions(events, gap=timedelta(minutes=30))) == 1
+        assert len(build_sessions(student(events), gap=timedelta(minutes=30))) == 1
 
     def test_gap_boundary_exact(self):
         # Split requires strictly exceeding the gap.
         events = [bare_event("problem_show", t=0), bare_event("problem_show", t=30 * 60)]
-        assert len(build_sessions(events, gap=timedelta(minutes=30))) == 1
+        assert len(build_sessions(student(events), gap=timedelta(minutes=30))) == 1
 
     def test_mixed_explicit_and_fallback(self):
         events = sorted(
@@ -50,7 +57,7 @@ class TestBuildSessions:
             ],
             key=lambda e: e.timestamp,
         )
-        sessions = build_sessions(events)
+        sessions = build_sessions(student(events))
         assert len(sessions) == 3  # s1 spans both of its events; two fallback runs
         explicit = [s for s in sessions if s.session_key == "s1"]
         assert explicit[0].event_count == 2
@@ -61,8 +68,8 @@ class TestBuildSessions:
             times = sorted(rng.uniform(0, 3 * 3600) for _ in range(rng.randint(1, 12)))
             events = [bare_event("problem_show", t=t) for t in times]
             doubled = sorted(events + events, key=lambda e: e.timestamp)
-            base = build_sessions(events)
-            dup = build_sessions(doubled)
+            base = build_sessions(student(events))
+            dup = build_sessions(student(doubled))
             assert len(dup) == len(base)
             assert [(s.start, s.end) for s in dup] == [(s.start, s.end) for s in base]
             assert sum(s.event_count for s in dup) == 2 * sum(s.event_count for s in base)
@@ -74,11 +81,12 @@ class TestBuildSessions:
             events = [bare_event("problem_show", t=t) for t in times]
             g1 = timedelta(minutes=rng.uniform(1, 30))
             g2 = g1 + timedelta(minutes=rng.uniform(1, 60))
-            assert len(build_sessions(events, g1)) >= len(build_sessions(events, g2))
+            state = student(events)
+            assert len(build_sessions(state, g1)) >= len(build_sessions(state, g2))
 
     def test_group_keys_are_stable(self):
         events = [bare_event("problem_show", t=0), bare_event("problem_show", t=3600 * 2)]
-        groups = group_into_sessions(events, timedelta(minutes=30))
+        groups = group_into_sessions(student(events), timedelta(minutes=30))
         assert [key for key, _ in groups] == ["u1~0", "u1~1"]
 
 
