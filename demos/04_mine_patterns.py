@@ -7,7 +7,7 @@ categories exhibit them.
 """
 
 from edxmine import classify, default_corpus_spec, generate_corpus
-from edxmine.engagement import aggregate_corpus
+from edxmine.engagement import aggregate_corpus, collect_student_events
 from edxmine.events import parse_events
 from edxmine.patterns import contrast_patterns, encode_sequences, mine
 
@@ -23,7 +23,9 @@ alphabet = None
 params = {"min_support": "20%", "max_len": 3, "granularity": "per_session"}
 for target in ("studier", "box_checker"):
     class_events = [ev for ev in events if user_class[ev.user_id] == target]
-    sequences, alphabet = encode_sequences(class_events, granularity="per_session")
+    sequences, alphabet = encode_sequences(
+        collect_student_events(class_events), granularity="per_session"
+    )
     min_support = max(1, round(0.2 * len(sequences)))
     results[target] = mine(sequences, min_support, max_len=3, params=params)
     print(f"{target}: {len(sequences)} sessions, top patterns:")

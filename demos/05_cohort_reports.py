@@ -6,7 +6,7 @@ year and compress their activity into a couple of weeks.
 """
 
 from edxmine import classify, default_corpus_spec, generate_corpus
-from edxmine.engagement import aggregate_corpus
+from edxmine.engagement import aggregate_corpus, collect_student_events
 from edxmine.events import parse_events
 from edxmine.reports import (
     CohortId,
@@ -38,9 +38,10 @@ pairs = {
     ]
     for cohort, evs in events.items()
 }
+students = {cohort: collect_student_events(evs) for cohort, evs in events.items()}
 
 print("== enrollment ==")
-for row in enrollment_table(events):
+for row in enrollment_table(students):
     print(f"  {row.cohort.label:<22} users={row.users:<4} events={row.user_events:<6} sessions={row.sessions}")
 
 print("\n== categorical breakdown (excluding no-shows) ==")
@@ -62,7 +63,7 @@ for row in scorer_distribution(pairs):
 
 print("\n== weekly new/returning ==")
 weekly_rows, _ = weekly_report(
-    events, {campus: campus_spec.term_start, online: online_spec.term_start}
+    students, {campus: campus_spec.term_start, online: online_spec.term_start}
 )
 for row in weekly_rows:
     if row.new_users or row.returning_users:

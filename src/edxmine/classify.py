@@ -8,11 +8,9 @@ in exactly one class.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass, fields
-from pathlib import Path
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional
 
 from .engagement import StudentAggregate
 
@@ -106,11 +104,6 @@ class RuleConfig:
         check_fields(obj, _RULE_CHECKS)
         return cls(**obj)
 
-    @classmethod
-    def from_json(cls, path: Union[str, Path]) -> "RuleConfig":
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
-
 
 DEFAULT_RULES = RuleConfig()
 
@@ -120,10 +113,8 @@ _RULE_CHECKS: dict[str, FieldCheck] = {
 }
 
 
-def classify(agg: StudentAggregate, cfg: Optional[RuleConfig] = None) -> OrdinalClass:
+def classify(agg: StudentAggregate, cfg: RuleConfig = DEFAULT_RULES) -> OrdinalClass:
     """First matching rule wins; total and pure."""
-    cfg = cfg or DEFAULT_RULES
-
     if agg.n_videos + agg.n_problems < cfg.no_show_total:
         return OrdinalClass.NO_SHOW
 

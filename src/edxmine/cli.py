@@ -10,6 +10,7 @@ import argparse
 import math
 import sys
 import traceback
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -80,11 +81,8 @@ _threshold = _number_then(checked_passing_threshold)
 
 
 def _stats_line(label: str, stats: ParseStats) -> str:
-    return (
-        f"{label}: lines_read={stats.lines_read} parsed={stats.parsed} "
-        f"retained={stats.retained} malformed={stats.malformed} "
-        f"filtered_out={stats.filtered_out}"
-    )
+    """``label: name=count ...`` over the tallies in field order."""
+    return f"{label}: " + " ".join(f"{name}={n}" for name, n in stats.as_dict().items())
 
 
 def cmd_validate(args) -> int:
@@ -148,8 +146,6 @@ def cmd_mine(args) -> int:
 def cmd_synth(args) -> int:
     spec = load_corpus_spec(args.spec)
     if args.seed is not None:
-        from dataclasses import replace
-
         spec = replace(spec, seed=args.seed)
     corpus = generate_corpus(spec)
     events_path, labels_path = write_corpus(corpus, args.out)
@@ -222,10 +218,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ManifestError, AmbiguousPersonaError) as exc:
-        print(f"edxmine: error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (InputError, ManifestError, AmbiguousPersonaError, OSError) as exc:
         print(f"edxmine: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 from datetime import datetime, timedelta, timezone
 from itertools import groupby
 from math import nan
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence
 
 import json
 
@@ -41,7 +41,6 @@ class NoAttemptsError(ValueError):
 
 @dataclass(frozen=True)
 class WatchRecord:
-    user_id: str
     video_id: str
     intervals: tuple[tuple[float, float], ...]
     duration: Optional[float]
@@ -54,7 +53,6 @@ class WatchRecord:
 
 @dataclass(frozen=True)
 class ProblemRecord:
-    user_id: str
     problem_id: str
     attempts: tuple[tuple[datetime, Optional[float]], ...]
     first_score: Optional[float]
@@ -122,17 +120,15 @@ def _score_r_value(n_attempts: int, final_score: Optional[float], passing: float
     return 4
 
 
-def score_r(
-    record: ProblemRecord, passing_threshold: float = DEFAULT_PASSING_THRESHOLD
-) -> int:
+def score_r(record: ProblemRecord) -> int:
     """Retry-difficulty index in {1,2,3,4}; higher means more struggle.
 
     Passing finals map attempt counts 1/2/3-4/5+ to 1/2/3/4; a non-passing
-    (or unscored) final is always 4.
+    (or unscored) final, under the default passing threshold, is always 4.
     """
     if record.n_attempts < 1:
         raise NoAttemptsError(f"problem {record.problem_id!r} has no attempts")
-    return _score_r_value(record.n_attempts, record.final_score, passing_threshold)
+    return _score_r_value(record.n_attempts, record.final_score, DEFAULT_PASSING_THRESHOLD)
 
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
@@ -310,8 +306,8 @@ class StudentEvents:
         watch_fraction: Optional[float] = None
         if duration > 0:  # so known
             watch_fraction = min(1.0, sum(end - start for start, end in intervals) / duration)
-        return WatchRecord(self.user_id, video_id, intervals,
-                           None if duration != duration else duration, watch_fraction)
+        return WatchRecord(video_id, intervals, None if duration != duration else duration,
+                           watch_fraction)
 
     def check_score(self, row: int) -> Optional[float]:
         """Score of a problem check: ``grade / max_grade`` when it is graded,
@@ -344,7 +340,6 @@ class StudentEvents:
         final_score = scored[-1] if scored else None
         n_attempts = len(attempts)
         return ProblemRecord(
-            user_id=self.user_id,
             problem_id=problem_id,
             attempts=tuple(attempts),
             first_score=first_score,
@@ -440,8 +435,6 @@ def _order_fraction(
 
 StudentKey = tuple[str, str]
 Students = Mapping[StudentKey, StudentEvents]
-#: States as collect_student_events builds them, or events to collect.
-StudentsOrEvents = Union[Students, Iterable[Event]]
 
 
 def collect_student_events(events: Iterable[Event]) -> dict[StudentKey, StudentEvents]:
@@ -454,12 +447,6 @@ def collect_student_events(events: Iterable[Event]) -> dict[StudentKey, StudentE
             state = states[key] = StudentEvents(user_id=ev.user_id, course_id=ev.course_id)
         state.add(ev)
     return states
-
-
-def as_students(students: StudentsOrEvents) -> Students:
-    """``students`` when it maps keys to states, else the states
-    :func:`collect_student_events` builds from those events."""
-    return students if isinstance(students, Mapping) else collect_student_events(students)
 
 
 def merge_student_events(
@@ -478,31 +465,27 @@ def merge_student_events(
 def aggregate_student(
     events: Iterable[Event],
     manifest: Optional[CourseManifest] = None,
-    passing_threshold: float = DEFAULT_PASSING_THRESHOLD,
-    user_id: str = "",
-    course_id: str = "",
 ) -> StudentAggregate:
     """Aggregate one student's events (any order) into their metrics row."""
-    return _student(events, user_id, course_id).finalize(manifest, passing_threshold)
+    return _student(events).finalize(manifest)
 
 
 def aggregate_corpus(
     events: Iterable[Event],
     manifest: Optional[CourseManifest] = None,
-    passing_threshold: float = DEFAULT_PASSING_THRESHOLD,
 ) -> list[StudentAggregate]:
     """Aggregate a whole corpus; rows sorted by (course, user)."""
     states = collect_student_events(events)
     return [
-        states[key].finalize(manifest, passing_threshold)
+        states[key].finalize(manifest)
         for key in sorted(states, key=lambda k: (k[1], k[0]))
     ]
 
 
-def _student(events: Iterable[Event], user_id: str = "", course_id: str = "") -> StudentEvents:
+def _student(events: Iterable[Event]) -> StudentEvents:
     """One state holding ``events`` in their order, keyed by the first
-    event's ids unless they are given."""
-    state = StudentEvents(user_id, course_id)
+    event's ids."""
+    state = StudentEvents("", "")
     for ev in events:
         if not state.user_id:
             state.user_id, state.course_id = ev.user_id, ev.course_id
@@ -517,11 +500,8 @@ def reconstruct_intervals(events: Sequence[Event]) -> WatchRecord:
     return state.watch_record(range(len(state)))
 
 
-def problem_history(
-    events: Sequence[Event],
-    passing_threshold: float = DEFAULT_PASSING_THRESHOLD,
-) -> ProblemRecord:
+def problem_history(events: Sequence[Event]) -> ProblemRecord:
     """Attempt history for one (user, problem) event stream, in its order:
     :meth:`StudentEvents.problem_record`."""
     state = _student(events)
-    return state.problem_record(range(len(state)), passing_threshold)
+    return state.problem_record(range(len(state)))

@@ -241,6 +241,25 @@ def _as_id(value) -> Optional[str]:
     return None
 
 
+def _as_written_id(value) -> Optional[str]:
+    """:func:`_as_id` for the user and course ids, which the outputs hold: a
+    string that UTF-8 cannot encode, one with a lone surrogate, is absent."""
+    # Not a call to _as_id: every retained line passes here at least twice,
+    # and a nested call there is a measurable share of the parse.
+    kind = type(value)
+    if kind is str:
+        if value.isascii():
+            return value or None
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            return None
+        return value
+    if kind is int:
+        return str(value)
+    return None
+
+
 def _video_payload(etype: EventType, raw: dict, share) -> Optional[VideoPayload]:
     video_id = _as_id(raw.get("id")) or _as_id(raw.get("video_id"))
     if video_id is None:
@@ -300,8 +319,8 @@ def parse_line(text: Union[str, bytes], memo: Optional[dict] = None) -> ParseOut
 
     Returns an :class:`Event` iff the line is valid JSON, names a retained
     event type, comes from the browser, and carries non-empty user and
-    course identifiers plus a parseable timestamp. Deterministic: the same
-    byte line always yields the same outcome.
+    course identifiers that UTF-8 can encode plus a parseable timestamp.
+    Deterministic: the same byte line always yields the same outcome.
 
     The event's user, course, session and content ids are looked up in
     ``memo`` and added to it, so that the events of one parse hold one
@@ -341,13 +360,13 @@ def parse_line(text: Union[str, bytes], memo: Optional[dict] = None) -> ParseOut
     if type(context) is not dict:
         context = _NO_CONTEXT
     user_id = (
-        _as_id(context.get("user_id"))
-        or _as_id(obj.get("user_id"))
-        or _as_id(obj.get("username"))
+        _as_written_id(context.get("user_id"))
+        or _as_written_id(obj.get("user_id"))
+        or _as_written_id(obj.get("username"))
     )
     if user_id is None:
         return _MISSING_USER
-    course_id = _as_id(context.get("course_id")) or _as_id(obj.get("course_id"))
+    course_id = _as_written_id(context.get("course_id")) or _as_written_id(obj.get("course_id"))
     if course_id is None:
         return _MISSING_COURSE
 

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 
 class ManifestError(ValueError):
@@ -202,14 +202,23 @@ def parse_manifest(obj: dict) -> CourseManifest:
     )
 
 
-def load_manifest(path: Union[str, Path]) -> CourseManifest:
-    """Load and validate a manifest JSON file. Duplicate block ids are rejected."""
+def read_json(path: Union[str, Path], error: Callable[[str], Exception]):
+    """The value of the UTF-8 JSON config file at ``path``. Text that is not
+    JSON, nests deeper than the decoder's stack allows, or holds a string
+    with a lone surrogate, which no output file can encode, raises ``error``
+    with a message naming the file."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             obj = json.load(handle)
-        except ValueError as exc:
-            raise ManifestError(f"{path}: invalid JSON ({exc})")
-    return parse_manifest(obj)
+            json.dumps(obj, ensure_ascii=False).encode("utf-8")
+        except (ValueError, RecursionError) as exc:  # ValueError includes the Unicode errors
+            raise error(f"{path}: invalid JSON ({exc})")
+    return obj
+
+
+def load_manifest(path: Union[str, Path]) -> CourseManifest:
+    """Load and validate a manifest JSON file. Duplicate block ids are rejected."""
+    return parse_manifest(read_json(path, ManifestError))
 
 
 def manifest_to_dict(manifest: CourseManifest) -> dict:

@@ -19,7 +19,7 @@ from datetime import timedelta
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
-from .engagement import DEFAULT_PASSING_THRESHOLD, StudentsOrEvents, as_students
+from .engagement import DEFAULT_PASSING_THRESHOLD, Students
 from .events import EventType, RETAINED_EVENT_TYPES
 from .sessions import DEFAULT_GAP, group_into_sessions
 
@@ -64,7 +64,7 @@ class SequencePattern:
 
 
 def encode_sequences(
-    students: StudentsOrEvents,
+    students: Students,
     granularity: str = "per_session",
     split_check_outcome: bool = False,
     passing_threshold: float = DEFAULT_PASSING_THRESHOLD,
@@ -72,7 +72,7 @@ def encode_sequences(
     collapse_runs: bool = False,
 ) -> tuple[list[SymbolSequence], SymbolAlphabet]:
     """One symbol sequence per (user, course) student, or per session of
-    one, from ``collect_student_events``' states or from events to collect."""
+    one, from ``collect_student_events``' states."""
     if granularity not in ("per_user", "per_session"):
         raise ValueError(f"unknown granularity: {granularity!r}")
     alphabet = build_alphabet(split_check_outcome)
@@ -80,7 +80,6 @@ def encode_sequences(
     symbol_of_type = [codes.get(etype.value) for etype in RETAINED_EVENT_TYPES]
     check = RETAINED_EVENT_TYPES.index(EventType.PROBLEM_CHECK) if split_check_outcome else None
 
-    students = as_students(students)
     sequences: list[SymbolSequence] = []
     for key in sorted(students):
         student = students[key]
@@ -232,20 +231,14 @@ def write_patterns_csv(
     path: Union[str, Path],
     result: MiningResult,
     alphabet: SymbolAlphabet,
-    class_name: Optional[str] = None,
+    class_name: str,
 ) -> None:
-    fieldnames = ["pattern", "support", "relative_support"]
-    if class_name is not None:
-        fieldnames.append("class")
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(fieldnames)
+        writer.writerow(["pattern", "support", "relative_support", "class"])
         for pattern in result.patterns:
             rel = pattern.support / result.n_sequences if result.n_sequences else 0.0
-            row = [alphabet.render(pattern.symbols), pattern.support, rel]
-            if class_name is not None:
-                row.append(class_name)
-            writer.writerow(row)
+            writer.writerow([alphabet.render(pattern.symbols), pattern.support, rel, class_name])
 
 
 def write_contrast_csv(

@@ -30,7 +30,7 @@ from .engagement import (
     collect_student_events,
 )
 from .events import Event, ParseStats, iter_events
-from .manifest import CourseManifest, load_manifest
+from .manifest import CourseManifest, load_manifest, read_json
 from .patterns import (
     MiningResult,
     contrast_patterns,
@@ -116,11 +116,7 @@ def load_run_manifest(path: Union[str, Path]) -> RunManifest:
     """Load and validate a run config JSON file. Unknown keys are rejected
     and referenced paths must exist."""
     path = Path(path)
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            obj = json.load(handle)
-    except ValueError as exc:
-        raise InputError(f"{path}: invalid JSON ({exc})")
+    obj = read_json(path, InputError)
     if not isinstance(obj, dict):
         raise InputError(f"{path}: run config must be a JSON object")
     unknown = set(obj) - _RUN_KEYS
@@ -286,10 +282,8 @@ def resolve_anchor(
 
 @dataclass
 class PipelineResult:
-    out_dir: Path
     files: dict
     parse_stats: ParseStats
-    per_file_stats: list
     unmatched_events: int
     aggregates: list  # (cohort, StudentAggregate, OrdinalClass)
 
@@ -310,19 +304,17 @@ def run_pipeline(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    rows: list[tuple[CohortId, StudentAggregate, OrdinalClass]] = []
-    classes_by_cohort: dict[CohortId, list[OrdinalClass]] = {}
-    pairs_by_cohort: dict[CohortId, list] = {}
+    pairs_by_cohort: dict[CohortId, list[tuple[StudentAggregate, OrdinalClass]]] = {}
     for cohort in sorted(by_cohort, key=lambda c: c.label):
         students = by_cohort[cohort]
+        pairs = pairs_by_cohort[cohort] = []
         for key in sorted(students, key=lambda k: (k[1], k[0])):
             agg = students[key].finalize(run.manifest, run.passing_threshold)
-            assigned = classify(agg, run.rules)
-            rows.append((cohort, agg, assigned))
-            classes_by_cohort.setdefault(cohort, []).append(assigned)
-            pairs_by_cohort.setdefault(cohort, []).append((agg, assigned))
-
-    rows.sort(key=lambda r: (r[1].course_instance, r[1].user_id))
+            pairs.append((agg, classify(agg, run.rules)))
+    rows = sorted(
+        ((c, agg, assigned) for c, pairs in pairs_by_cohort.items() for agg, assigned in pairs),
+        key=lambda r: (r[1].course_instance, r[1].user_id),
+    )
 
     files = {}
 
@@ -348,7 +340,10 @@ def run_pipeline(
     report_tables = {
         "enrollment": (enrollment_table(by_cohort, run.gap), "enrollment"),
         "breakdown": (
-            categorical_breakdown(classes_by_cohort, exclude_no_show=exclude_no_show),
+            categorical_breakdown(
+                {c: [assigned for _, assigned in pairs] for c, pairs in pairs_by_cohort.items()},
+                exclude_no_show=exclude_no_show,
+            ),
             "breakdown",
         ),
         "score_comparison": (score_comparison(
@@ -386,10 +381,8 @@ def run_pipeline(
     files["run_meta"] = meta_path
 
     return PipelineResult(
-        out_dir=out_dir,
         files=files,
         parse_stats=total_stats,
-        per_file_stats=per_file,
         unmatched_events=unmatched,
         aggregates=rows,
     )

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
 from .classify import OrdinalClass
-from .engagement import StudentAggregate, StudentsOrEvents, as_students
+from .engagement import StudentAggregate, Students
 from .sessions import DEFAULT_GAP, build_sessions, weekly_presence
 
 
@@ -70,14 +70,14 @@ class WeeklyRow:
 
 
 def enrollment_table(
-    students_by_cohort: Mapping[CohortId, StudentsOrEvents],
+    students_by_cohort: Mapping[CohortId, Students],
     gap: timedelta = DEFAULT_GAP,
 ) -> list[EnrollmentRow]:
     """Per cohort: its students, each one (user, course) pair, their events
     and their sessions."""
     rows = []
     for cohort in sorted(students_by_cohort, key=lambda c: c.label):
-        students = as_students(students_by_cohort[cohort]).values()
+        students = students_by_cohort[cohort].values()
         rows.append(
             EnrollmentRow(
                 cohort=cohort,
@@ -191,16 +191,9 @@ def _stats(values: Sequence[float]) -> tuple:
 
 
 def _stats_row(cohort: CohortId, metric: str, group: str, values: list[float]) -> ScoreStats:
-    if not values:
-        return ScoreStats(
-            cohort=cohort, metric=metric, group=group,
-            mean=None, variance=None, q1=None, median=None, q3=None, n=0,
-        )
-    mean, variance, q1, median, q3 = _stats(values)
-    return ScoreStats(
-        cohort=cohort, metric=metric, group=group,
-        mean=mean, variance=variance, q1=q1, median=median, q3=q3, n=len(values),
-    )
+    """The stats of ``values``, each absent when there are none."""
+    stats = _stats(values) if values else (None,) * 5
+    return ScoreStats(cohort, metric, group, *stats, n=len(values))
 
 
 def score_comparison(
@@ -239,7 +232,7 @@ def scorer_distribution(
 
 
 def weekly_report(
-    students_by_cohort: Mapping[CohortId, StudentsOrEvents],
+    students_by_cohort: Mapping[CohortId, Students],
     anchors: Mapping[CohortId, date],
 ) -> tuple[list[WeeklyRow], dict]:
     """Weekly new/returning rows per cohort plus dropped-event counts."""

@@ -10,7 +10,7 @@ from collections import Counter
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 
-from .engagement import MICROSECOND, StudentEvents, StudentsOrEvents, as_datetime, as_students
+from .engagement import MICROSECOND, StudentEvents, Students, as_datetime
 
 DEFAULT_GAP = timedelta(minutes=30)
 _DAY = timedelta(days=1) // MICROSECOND
@@ -95,9 +95,9 @@ class WeeklyPresence:
     dropped_before_anchor: int
 
 
-def weekly_presence(students: StudentsOrEvents, anchor: date) -> WeeklyPresence:
+def weekly_presence(students: Students, anchor: date) -> WeeklyPresence:
     """Per-week new and returning student counts, a student being one (user,
-    course) pair: ``collect_student_events``' states, or events to collect.
+    course) pair, from ``collect_student_events``' states.
 
     A student is new in the week of their earliest in-range event and
     returning in every later week they are active. Events before the anchor
@@ -105,7 +105,7 @@ def weekly_presence(students: StudentsOrEvents, anchor: date) -> WeeklyPresence:
     """
     active_weeks: list[set[int]] = []
     dropped = 0
-    for student in as_students(students).values():
+    for student in students.values():
         weeks = set()
         for day, events in Counter(micros // _DAY for micros in student.times).items():
             try:

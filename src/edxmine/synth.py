@@ -13,12 +13,12 @@ from __future__ import annotations
 import csv
 import json
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from datetime import date, datetime, time, timedelta, timezone
 from pathlib import Path
 from typing import Optional, Union
 
-from .classify import DEFAULT_RULES, FieldCheck, OrdinalClass, RuleConfig, check_fields
+from .classify import DEFAULT_RULES, FieldCheck, OrdinalClass, check_fields
 from .engagement import DEFAULT_PASSING_THRESHOLD, _score_r_value
 from .events import format_timestamp
 from .manifest import (
@@ -28,8 +28,10 @@ from .manifest import (
     CourseManifest,
     Section,
     SubModule,
+    load_manifest,
     manifest_to_dict,
     parse_manifest,
+    read_json,
 )
 from .pipeline import InputError
 
@@ -72,6 +74,10 @@ class CorpusSpec:
     def __post_init__(self) -> None:
         if self.weeks < 1:
             raise ValueError("weeks must be >= 1")
+        # Timestamps end in year 9999, and the term's last day may run past
+        # midnight.
+        if 7 * self.weeks >= (date.max - self.term_start).days:
+            raise ValueError("term_start plus weeks must fall before 9999-12-31")
         if sum(p.n_users for p in self.personas) < 1:
             raise ValueError("corpus must contain at least one user")
 
@@ -82,25 +88,23 @@ class SynthCorpus:
     labels: list[tuple[str, str]]  # (user_id, class name)
 
 
-def _scorer_bounds(p: PersonaSpec, passing: float) -> tuple[float, float]:
+def _scorer_bounds(p: PersonaSpec) -> tuple[float, float]:
     """Reachable mean retry-index interval under the generation policy:
     multi-attempt problems always end at full marks, single-attempt problems
     end at the drawn first score."""
     a_lo, a_hi = p.attempts_per_problem_range
-    lo = _score_r_value(max(a_lo, 1), 1.0, passing)
-    hi = _score_r_value(max(a_hi, 1), 1.0, passing)
-    if a_lo <= 1 and p.first_score_range[0] < passing + MARGIN:
+    lo = _score_r_value(max(a_lo, 1), 1.0, DEFAULT_PASSING_THRESHOLD)
+    hi = _score_r_value(max(a_hi, 1), 1.0, DEFAULT_PASSING_THRESHOLD)
+    if a_lo <= 1 and p.first_score_range[0] < DEFAULT_PASSING_THRESHOLD + MARGIN:
         hi = 4  # a single-attempt final may fail the passing threshold
     return float(lo), float(hi)
 
 
-def validate_persona(
-    p: PersonaSpec,
-    cfg: RuleConfig = DEFAULT_RULES,
-    passing_threshold: float = DEFAULT_PASSING_THRESHOLD,
-) -> None:
+def validate_persona(p: PersonaSpec) -> None:
     """Raise :class:`AmbiguousPersonaError` unless every reachable metric
-    classifies to the persona's target class with margin to spare."""
+    classifies under the default rules to the persona's target class with
+    margin to spare."""
+    cfg = DEFAULT_RULES
     problems: list[str] = []
     v_lo, v_hi = p.videos_played_range
     p_lo, p_hi = p.problems_attempted_range
@@ -135,7 +139,7 @@ def validate_persona(
         raise AmbiguousPersonaError("; ".join(problems))
 
     total_lo, total_hi = v_lo + p_lo, v_hi + p_hi
-    r_lo, r_hi = _scorer_bounds(p, passing_threshold)
+    r_lo, r_hi = _scorer_bounds(p)
     m = MARGIN
     # Exact-margin personas must validate despite float representation.
     eps = 1e-9
@@ -257,8 +261,7 @@ def validate_persona(
 
 # -- default fixtures --------------------------------------------------------
 
-def default_manifest(course_id: str = "course-v1:SYN+ED101+2021",
-                     course_start: Optional[date] = None) -> CourseManifest:
+def default_manifest(course_id: str, course_start: Optional[date]) -> CourseManifest:
     """Synthetic course tree: 4 sub-modules, 16 sections, 64 videos and 64
     graded problems, every section mixing both kinds."""
     submodules = []
@@ -531,18 +534,14 @@ def _generate_user(
     return lines
 
 
-def generate_corpus(
-    spec: CorpusSpec,
-    cfg: RuleConfig = DEFAULT_RULES,
-    passing_threshold: float = DEFAULT_PASSING_THRESHOLD,
-) -> SynthCorpus:
+def generate_corpus(spec: CorpusSpec) -> SynthCorpus:
     """Emit log lines plus the ground-truth label per user.
 
     Every persona is validated first; an out-of-region range raises
     :class:`AmbiguousPersonaError` before anything is generated.
     """
     for persona in spec.personas:
-        validate_persona(persona, cfg, passing_threshold)
+        validate_persona(persona)
 
     sections = _section_contents(spec.manifest)
     course_id = spec.manifest.course_id
@@ -589,21 +588,18 @@ def corpus_spec_to_dict(spec: CorpusSpec) -> dict:
         "weeks": spec.weeks,
         "seed": spec.seed,
         "personas": [
-            {
-                "target_class": p.target_class.value,
-                "n_users": p.n_users,
-                "video_watch_range": list(p.video_watch_range),
-                "videos_played_range": list(p.videos_played_range),
-                "problems_attempted_range": list(p.problems_attempted_range),
-                "attempts_per_problem_range": list(p.attempts_per_problem_range),
-                "first_score_range": list(p.first_score_range),
-                "watch_before_problems": p.watch_before_problems,
-                "pacing": p.pacing,
-                "seed_offset": p.seed_offset,
-            }
+            {f.name: _json_value(getattr(p, f.name)) for f in fields(PersonaSpec)}
             for p in spec.personas
         ],
     }
+
+
+def _json_value(value):
+    """A persona field as its JSON form holds it: a class by name, a range
+    as a list."""
+    if isinstance(value, OrdinalClass):
+        return value.value
+    return list(value) if isinstance(value, tuple) else value
 
 
 # The JSON types of a corpus spec's values, with the least number allowed.
@@ -660,8 +656,6 @@ def corpus_spec_from_dict(obj: dict, base_dir: Optional[Path] = None) -> CorpusS
     if "manifest" in obj:
         manifest = parse_manifest(obj["manifest"])
     elif "manifest_path" in obj:
-        from .manifest import load_manifest
-
         path = Path(obj["manifest_path"])
         if base_dir is not None and not path.is_absolute():
             path = base_dir / path
@@ -681,13 +675,12 @@ def load_corpus_spec(path: Union[str, Path]) -> CorpusSpec:
     """Load a corpus spec JSON file. Text that is not JSON, or a spec with a
     missing or mistyped key, raises :class:`InputError` naming the file."""
     path = Path(path)
+    obj = read_json(path, InputError)
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            obj = json.load(handle)
         if not isinstance(obj, dict):
             raise TypeError("corpus spec must be a JSON object")
         return corpus_spec_from_dict(obj, base_dir=path.parent)
     except KeyError as exc:
         raise InputError(f"{path}: corpus spec lacks the key {exc}")
-    except (TypeError, ValueError) as exc:  # ValueError includes JSON and manifest errors
+    except (TypeError, ValueError) as exc:  # ValueError includes manifest errors
         raise InputError(f"{path}: bad corpus spec ({exc})")

@@ -4,13 +4,16 @@ oracle that the fast parser in ``edxmine.events`` must agree with.
 This is the parser as it stood before events became slotted and lost their
 ``source``, with its helpers, copied as they were. It still reads the
 fields that events no longer keep (``org_id``, ``new_speed``, ``success`` and
-``attempts``); the fuzz test drops them before comparing. Two things differ:
+``attempts``); the fuzz test drops them before comparing. Three things differ:
 
 * it returns a plain tuple (see :func:`typed`) instead of building objects,
   so each field is compared with its type and the timestamp with its tzinfo;
 * ``parse_timestamp`` treats an instant that leaves ``datetime``'s range when
   moved to UTC as unparseable. The earlier parser raised ``OverflowError``
   there, which crashed the run.
+* a user or course id that UTF-8 cannot encode (one with a lone surrogate)
+  is absent, so the line falls through to the next id source. The earlier
+  parser kept it, and writing it out crashed the run.
 
 Do not speed this file up: its worth is that it is the slow, obvious form.
 """
@@ -113,6 +116,18 @@ def _as_id(value) -> Optional[str]:
     return None
 
 
+def _as_written_id(value) -> Optional[str]:
+    """A user or course id: as :func:`_as_id`, but one that UTF-8 cannot
+    encode is absent, since the outputs hold these ids."""
+    value = _as_id(value)
+    if value is not None:
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            return None
+    return value
+
+
 def _as_bool(value) -> Optional[bool]:
     if isinstance(value, bool):
         return value
@@ -192,13 +207,13 @@ def reference_outcome(text: Union[str, bytes]) -> tuple:
     if not isinstance(context, dict):
         context = {}
     user_id = (
-        _as_id(context.get("user_id"))
-        or _as_id(obj.get("user_id"))
-        or _as_id(obj.get("username"))
+        _as_written_id(context.get("user_id"))
+        or _as_written_id(obj.get("user_id"))
+        or _as_written_id(obj.get("username"))
     )
     if user_id is None:
         return ("malformed", "missing user")
-    course_id = _as_id(context.get("course_id")) or _as_id(obj.get("course_id"))
+    course_id = _as_written_id(context.get("course_id")) or _as_written_id(obj.get("course_id"))
     if course_id is None:
         return ("malformed", "missing course")
     org_id = _as_id(context.get("org_id")) or _as_id(obj.get("org_id")) or ""

@@ -277,7 +277,8 @@ def test_criterion_9_weekly_shape_on_synthetic_cohorts(tmp_path):
         online_events = list(parse_events(generate_corpus(online_spec).lines))
 
         rows, dropped = weekly_report(
-            {campus: campus_events, online: online_events},
+            {campus: collect_student_events(campus_events),
+             online: collect_student_events(online_events)},
             {campus: campus_spec.term_start, online: online_spec.term_start},
         )
         assert dropped == {campus.label: 0, online.label: 0}

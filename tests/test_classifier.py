@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import json
 import random
 
 import pytest
@@ -173,10 +172,8 @@ class TestRuleConfig:
         assert cfg.scorer_hi == 2.0 and cfg.scorer_mid == 3.0 and cfg.scorer_lo == 4.0
         assert cfg.order_min == 0.8
 
-    def test_from_json(self, tmp_path):
-        path = tmp_path / "rules.json"
-        path.write_text(json.dumps({"watch_hi": 0.9, "no_show_total": 5}))
-        cfg = RuleConfig.from_json(path)
+    def test_from_dict(self):
+        cfg = RuleConfig.from_dict({"watch_hi": 0.9, "no_show_total": 5})
         assert cfg.watch_hi == 0.9
         assert cfg.no_show_total == 5
         assert cfg.watch_mid == 0.6

@@ -389,8 +389,8 @@ class TestScoreR:
 
     def test_non_passing_is_four(self):
         events = [problem_event("problem_check", t=0, grade=0.5, max_grade=1)]
-        record = problem_history(events, passing_threshold=0.7)
-        assert score_r(record, passing_threshold=0.7) == 4
+        record = problem_history(events)
+        assert score_r(record) == 4
 
     def test_unscored_final_is_four(self):
         events = [problem_event("problem_check", t=0)]
@@ -446,7 +446,7 @@ SECTION_MANIFEST = {
 
 class TestAggregateStudent:
     def test_zero_events(self):
-        agg = aggregate_student([], user_id="u1", course_id="c1")
+        agg = StudentEvents("u1", "c1").finalize()
         assert agg.n_videos == 0
         assert agg.n_problems == 0
         assert agg.total_attempts == 0

@@ -110,6 +110,20 @@ class TestParseLine:
         del record["context"]["course_id"]
         assert isinstance(parse_line(json.dumps(record)), Malformed)
 
+    @pytest.mark.parametrize(
+        "extra, outcome",
+        [
+            ({}, Malformed("missing user")),
+            ({"username": "u2"}, "u2"),
+            ({"username": "\ud83d\ude00"}, "\U0001f600"),  # a pair encodes
+        ],
+    )
+    def test_unencodable_user_id_absent(self, extra, outcome):
+        parsed = parse_line(raw_line(user="u\ud800", **extra))
+        assert (parsed if isinstance(parsed, Malformed) else parsed.user_id) == outcome
+        parsed = parse_line(raw_line(course="c\udfff", **extra))
+        assert parsed == Malformed("missing course")
+
     def test_bad_timestamp_malformed(self):
         assert isinstance(parse_line(raw_line(time="not-a-time")), Malformed)
         record = json.loads(raw_line())

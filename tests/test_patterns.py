@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from edxmine.engagement import collect_student_events
 from edxmine.patterns import (
     CHECK_FAIL,
     CHECK_PASS,
@@ -164,12 +165,14 @@ class TestPrefixSpan:
 
 class TestEncodeSequences:
     def test_single_event(self):
-        sequences, alphabet = encode_sequences([video_event("play_video", t=0)])
+        sequences, alphabet = encode_sequences(
+            collect_student_events([video_event("play_video", t=0)])
+        )
         assert len(sequences) == 1
         assert alphabet.render(sequences[0].symbols) == "play_video"
 
     def test_zero_events(self):
-        sequences, _ = encode_sequences([])
+        sequences, _ = encode_sequences({})
         assert sequences == []
 
     def test_split_check_outcome(self):
@@ -177,7 +180,9 @@ class TestEncodeSequences:
             problem_event("problem_check", t=0, grade=0, max_grade=1),
             problem_event("problem_check", t=10, grade=1, max_grade=1),
         ]
-        sequences, alphabet = encode_sequences(events, split_check_outcome=True)
+        sequences, alphabet = encode_sequences(
+            collect_student_events(events), split_check_outcome=True
+        )
         assert alphabet.render(sequences[0].symbols) == f"{CHECK_FAIL}>{CHECK_PASS}"
 
     def test_alphabet_size_cap(self):
@@ -189,8 +194,8 @@ class TestEncodeSequences:
             bare_event("problem_show", t=0, session="s1"),
             bare_event("problem_show", t=10_000, session="s2"),
         ]
-        per_user, _ = encode_sequences(events, granularity="per_user")
-        per_session, _ = encode_sequences(events, granularity="per_session")
+        per_user, _ = encode_sequences(collect_student_events(events), granularity="per_user")
+        per_session, _ = encode_sequences(collect_student_events(events), granularity="per_session")
         assert len(per_user) == 1
         assert len(per_user[0].symbols) == 2
         assert len(per_session) == 2
@@ -203,7 +208,9 @@ class TestEncodeSequences:
             bare_event("problem_show", t=10, course="c1", session="s1"),
             video_event("pause_video", t=15, course="c2", session="s1"),
         ]
-        sequences, alphabet = encode_sequences(events, granularity=granularity)
+        sequences, alphabet = encode_sequences(
+            collect_student_events(events), granularity=granularity
+        )
         assert [alphabet.render(s.symbols) for s in sequences] == [
             "problem_show>problem_show",
             "play_video>pause_video",
@@ -211,14 +218,14 @@ class TestEncodeSequences:
 
     def test_collapse_runs(self):
         events = [bare_event("problem_show", t=i) for i in range(4)]
-        kept, _ = encode_sequences(events)
-        collapsed, _ = encode_sequences(events, collapse_runs=True)
+        kept, _ = encode_sequences(collect_student_events(events))
+        collapsed, _ = encode_sequences(collect_student_events(events), collapse_runs=True)
         assert len(kept[0].symbols) == 4
         assert len(collapsed[0].symbols) == 1
 
     def test_unknown_granularity(self):
         with pytest.raises(ValueError):
-            encode_sequences([], granularity="per_week")
+            encode_sequences({}, granularity="per_week")
 
 
 class TestContrast:
@@ -265,7 +272,9 @@ class TestContrast:
 class TestCsvOutput:
     def test_patterns_csv(self, tmp_path):
         sequences, alphabet = encode_sequences(
-            [video_event("play_video", t=0), video_event("pause_video", t=5)]
+            collect_student_events(
+                [video_event("play_video", t=0), video_event("pause_video", t=5)]
+            )
         )
         result = mine(sequences, min_support=1, max_len=2)
         path = tmp_path / "patterns.csv"
@@ -275,7 +284,9 @@ class TestCsvOutput:
         assert any("play_video>pause_video" in line for line in lines)
 
     def test_contrast_csv(self, tmp_path):
-        sequences, alphabet = encode_sequences([video_event("play_video", t=0)])
+        sequences, alphabet = encode_sequences(
+            collect_student_events([video_event("play_video", t=0)])
+        )
         result = mine(sequences, min_support=1, max_len=2)
         rows = contrast_patterns({"a": result, "b": result})
         path = tmp_path / "contrast.csv"

@@ -174,17 +174,17 @@ class TestAnchors:
     def test_explicit_anchor_wins(self):
         run = RunManifest(anchors={"online:2021": date(2020, 12, 31)})
         cohort = CohortId("online", "2021")
-        assert resolve_anchor(cohort, run, []) == date(2020, 12, 31)
+        assert resolve_anchor(cohort, run, {}) == date(2020, 12, 31)
 
     def test_online_defaults_to_january_first(self):
         cohort = CohortId("online", "2022")
-        assert resolve_anchor(cohort, RunManifest(), []) == date(2022, 1, 1)
+        assert resolve_anchor(cohort, RunManifest(), {}) == date(2022, 1, 1)
 
     def test_on_campus_uses_course_start(self, small_corpus):
         run = load_run_manifest(small_corpus["run_config"])
         run.anchors = {}
         cohort = CohortId("on_campus", "Fall 2021")
-        assert resolve_anchor(cohort, run, []) == date(2021, 8, 23)
+        assert resolve_anchor(cohort, run, {}) == date(2021, 8, 23)
 
     def test_fallback_to_earliest_event(self):
         cohort = CohortId("on_campus", "whenever")
@@ -782,6 +782,31 @@ class TestCli:
         assert len(err) == 1 and key in err[0], err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, flag, text",
+        [
+            ("pipeline", "--manifest", "[" * 200_000),
+            ("pipeline", "--run-config", "[" * 200_000),
+            ("mine", "--run-config", "[" * 200_000),
+            ("synth", "--spec", "[" * 200_000),
+            ("pipeline", "--run-config", '{"cohorts": [{"pattern": ".*", "term": "x\\ud800"}]}'),
+        ],
+        ids=["manifest-nesting", "pipeline-config-nesting", "mine-config-nesting",
+             "synth-spec-nesting", "config-lone-surrogate"],
+    )
+    def test_unusable_config_json_exits_two(self, tmp_path, capsys, command, flag, text):
+        log = tmp_path / "events.log"
+        log.write_text(raw_line() + "\n")
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        out = tmp_path / "out"
+        argv = [command, flag, str(config), "--out", str(out)]
+        code = main(argv if command == "synth" else argv + [str(log)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"edxmine: error: {config}: "), err
+        assert not out.exists()
+
     def test_gap_and_threshold_flags_override_config(self, small_corpus, tmp_path, capsys):
         out = tmp_path / "out"
         code = main(
@@ -950,6 +975,19 @@ class TestCli:
         assert "mean_first_score" not in agg
         assert "mean_final_score" not in agg
 
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_unencodable_user_id_counted_malformed(self, tmp_path, capsys, fmt):
+        log = tmp_path / "events.log"
+        log.write_text(raw_line(user="u\ud800") + "\n")
+        assert "u\\ud800" in log.read_text()
+        out = tmp_path / "out"
+        assert main(["pipeline", str(log), "--out", str(out), "--format", fmt]) == 0
+        stats = json.loads((out / "run_meta.json").read_text())["parse_stats"]
+        assert (stats["lines_read"], stats["malformed"], stats["retained"]) == (1, 1, 0)
+        assert (out / "classifications.csv").read_text() == "user_id,course_id,cohort,class\n"
+        assert main(["mine", str(log), "--out", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["validate", "pipeline", "mine"])
     def test_truncated_gzip_exits_two(self, small_corpus, tmp_path, capsys, command):
         gz = tmp_path / "events.log.gz"
@@ -1035,7 +1073,11 @@ class TestCli:
         assert sorted(p.name for p in out.iterdir()) == ["classifications.csv"]
 
     @pytest.mark.parametrize(
-        "damage", ["{}", "not json", "seed", "weeks", "term_start", "weeks=0", "personas=[]"]
+        "damage",
+        [
+            "{}", "not json", "seed", "weeks", "term_start", "weeks=0", "personas=[]",
+            'term_start="9999-12-01"', "weeks=1000000",
+        ],
     )
     def test_synth_unusable_spec_exits_two(self, tmp_path, capsys, damage):
         doc = corpus_spec_to_dict(default_corpus_spec(users_per_class=1, seed=55))

@@ -8,7 +8,7 @@ from datetime import date
 import pytest
 
 from edxmine.classify import OrdinalClass
-from edxmine.engagement import StudentAggregate
+from edxmine.engagement import StudentAggregate, collect_student_events
 from edxmine.reports import (
     CohortId,
     _stats,
@@ -46,14 +46,14 @@ class TestEnrollment:
                 events.append(
                     bare_event("problem_show", t=i * 60, user=f"u{u}", session=session)
                 )
-        rows = enrollment_table({ON_CAMPUS: events})
+        rows = enrollment_table({ON_CAMPUS: collect_student_events(events)})
         assert len(rows) == 1
         assert rows[0].users == 5
         assert rows[0].user_events == 200
         assert rows[0].sessions == 12
 
     def test_empty_cohort(self):
-        rows = enrollment_table({ON_CAMPUS: []})
+        rows = enrollment_table({ON_CAMPUS: {}})
         assert rows[0].users == 0
         assert rows[0].user_events == 0
         assert rows[0].sessions == 0
@@ -193,7 +193,9 @@ class TestWeeklyReport:
             for u in range(3)
             for d in range(4)
         ]
-        rows, dropped = weekly_report({ON_CAMPUS: events}, {ON_CAMPUS: date(2021, 8, 26)})
+        rows, dropped = weekly_report(
+            {ON_CAMPUS: collect_student_events(events)}, {ON_CAMPUS: date(2021, 8, 26)}
+        )
         assert dropped == {ON_CAMPUS.label: 0}
         assert all(r.new_users == 0 for r in rows if r.week_index >= 1)
         week0 = next(r for r in rows if r.week_index == 0)
@@ -201,7 +203,8 @@ class TestWeeklyReport:
 
     def test_single_user_cohort(self):
         rows, _ = weekly_report(
-            {ONLINE: [bare_event("problem_show", t=0)]}, {ONLINE: date(2021, 8, 26)}
+            {ONLINE: collect_student_events([bare_event("problem_show", t=0)])},
+            {ONLINE: date(2021, 8, 26)},
         )
         assert [(r.week_index, r.new_users, r.returning_users) for r in rows] == [(0, 1, 0)]
 
@@ -209,7 +212,9 @@ class TestWeeklyReport:
         events = [
             bare_event("problem_show", t=w * 7 * 86400 + 60) for w in range(15)
         ]
-        rows, _ = weekly_report({ONLINE: events}, {ONLINE: date(2021, 8, 26)})
+        rows, _ = weekly_report(
+            {ONLINE: collect_student_events(events)}, {ONLINE: date(2021, 8, 26)}
+        )
         assert len(rows) == 15
         assert rows[0].new_users == 1
         assert all(r.returning_users == 1 for r in rows[1:])

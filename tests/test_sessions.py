@@ -108,7 +108,7 @@ class TestWeekIndex:
 class TestWeeklyPresence:
     def test_single_user_week_zero(self):
         events = [bare_event("problem_show", t=3600), bare_event("problem_show", t=7200)]
-        presence = weekly_presence(events, ANCHOR)
+        presence = weekly_presence(collect_student_events(events), ANCHOR)
         assert [(w.week_index, w.new_users, w.returning_users) for w in presence.weeks] == [
             (0, 1, 0)
         ]
@@ -118,7 +118,7 @@ class TestWeeklyPresence:
             bare_event("problem_show", t=0),
             bare_event("problem_show", t=15 * 86400),  # week 2
         ]
-        presence = weekly_presence(events, ANCHOR)
+        presence = weekly_presence(collect_student_events(events), ANCHOR)
         weeks = {w.week_index: w for w in presence.weeks}
         assert weeks[0].new_users == 1
         assert weeks[1].new_users == 0 and weeks[1].returning_users == 0
@@ -129,7 +129,7 @@ class TestWeeklyPresence:
             bare_event("problem_show", t=0, user="a"),
             bare_event("problem_show", t=8 * 86400, user="b"),
         ]
-        presence = weekly_presence(events, ANCHOR)
+        presence = weekly_presence(collect_student_events(events), ANCHOR)
         assert [(w.new_users, w.returning_users) for w in presence.weeks] == [(1, 0), (1, 0)]
 
     def test_before_anchor_dropped_and_counted(self):
@@ -137,7 +137,7 @@ class TestWeeklyPresence:
             bare_event("problem_show", t=0, user="a"),
             bare_event("problem_show", t=86400, user="a"),
         ]
-        presence = weekly_presence(events, date(2021, 8, 27))
+        presence = weekly_presence(collect_student_events(events), date(2021, 8, 27))
         assert presence.dropped_before_anchor == 1
         assert presence.weeks[0].new_users == 1
 
@@ -148,6 +148,6 @@ class TestWeeklyPresence:
                 bare_event("problem_show", t=rng.uniform(0, 90 * 86400), user=f"u{rng.randint(0, 9)}")
                 for _ in range(rng.randint(1, 50))
             ]
-            presence = weekly_presence(events, ANCHOR)
+            presence = weekly_presence(collect_student_events(events), ANCHOR)
             assert presence.dropped_before_anchor == 0
             assert sum(w.new_users for w in presence.weeks) == len({e.user_id for e in events})
