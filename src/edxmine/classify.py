@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, fields
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from .engagement import StudentAggregate
 
@@ -68,6 +68,14 @@ def check_fields(obj: Mapping, checks: Mapping[str, FieldCheck]) -> None:
         raise ValueError(f"{key} must be {expected}, got {value!r}")
 
 
+def reject_unknown_keys(obj: Mapping, known: Iterable[str], what: str) -> None:
+    """Raise ValueError naming the keys of ``obj`` not in ``known``, as
+    ``unknown <what>: [...]``. Every config and spec shares this check."""
+    unknown = set(obj).difference(known)
+    if unknown:
+        raise ValueError(f"unknown {what}: {sorted(unknown)}")
+
+
 @dataclass(frozen=True)
 class RuleConfig:
     """Classification thresholds; defaults are the published rule values.
@@ -97,10 +105,7 @@ class RuleConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "RuleConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(obj) - known
-        if unknown:
-            raise ValueError(f"unknown rule config keys: {sorted(unknown)}")
+        reject_unknown_keys(obj, _RULE_CHECKS, "rule config keys")
         check_fields(obj, _RULE_CHECKS)
         return cls(**obj)
 

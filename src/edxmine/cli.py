@@ -11,14 +11,12 @@ import math
 import sys
 import traceback
 from dataclasses import replace
-from pathlib import Path
 from typing import Callable, Optional
 
 from .engagement import DEFAULT_PASSING_THRESHOLD
 from .events import ParseStats
-from .manifest import ManifestError, load_manifest
+from .manifest import InputError, load_manifest
 from .pipeline import (
-    InputError,
     RunManifest,
     checked_gap,
     checked_passing_threshold,
@@ -27,7 +25,8 @@ from .pipeline import (
     run_pipeline,
     validate_files,
 )
-from .synth import AmbiguousPersonaError, generate_corpus, load_corpus_spec, write_corpus
+from .sessions import DEFAULT_GAP
+from .synth import generate_corpus, load_corpus_spec, write_corpus
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -129,7 +128,6 @@ def cmd_mine(args) -> int:
     files = run_mining(
         run,
         args.logs,
-        Path(args.out) / "classifications.csv",
         args.out,
         class_names=class_names,
         min_support=args.min_support,
@@ -170,7 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_pipeline.add_argument("--manifest", help="course manifest JSON (overrides the run config's)")
     p_pipeline.add_argument("--out", required=True, help="output directory")
     p_pipeline.add_argument("--gap-minutes", dest="gap", type=_gap, default=None,
-                            help="session inactivity gap in minutes, > 0 (default 30)")
+                            help="session inactivity gap in minutes, > 0 "
+                                 f"(default {DEFAULT_GAP.total_seconds() / 60:g})")
     p_pipeline.add_argument("--passing-threshold", type=_threshold, default=None,
                             help="passing score ratio in (0, 1] "
                                  f"(default {DEFAULT_PASSING_THRESHOLD})")
@@ -218,7 +217,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ManifestError, AmbiguousPersonaError, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"edxmine: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception:

@@ -21,6 +21,7 @@ import json
 
 from .events import (
     RETAINED_EVENT_TYPES,
+    VIDEO_TYPES,
     Event,
     EventType,
     ProblemPayload,
@@ -124,11 +125,11 @@ def score_r(record: ProblemRecord) -> int:
     """Retry-difficulty index in {1,2,3,4}; higher means more struggle.
 
     Passing finals map attempt counts 1/2/3-4/5+ to 1/2/3/4; a non-passing
-    (or unscored) final, under the default passing threshold, is always 4.
+    (or unscored) final, under the record's passing threshold, is always 4.
     """
     if record.n_attempts < 1:
         raise NoAttemptsError(f"problem {record.problem_id!r} has no attempts")
-    return _score_r_value(record.n_attempts, record.final_score, DEFAULT_PASSING_THRESHOLD)
+    return record.score_r
 
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
@@ -141,8 +142,8 @@ _PLAY, _PAUSE, _SEEK, _STOP, _COMPLETE, _CHECK_FAIL = (
 )
 _PLAYHEAD_CODES = frozenset({_PLAY, _PAUSE, _SEEK, _STOP, _COMPLETE})
 _ATTEMPT_CODES = frozenset(_TYPE_CODE[etype.value] for etype in ATTEMPT_TYPES)
-_VIDEO, _PROBLEM = 1, 2  # payload kinds; 0 is none
-_COLUMNS = ("times", "types", "kinds", "content", "sessions")
+_VIDEO_CODES = frozenset(_TYPE_CODE[etype.value] for etype in VIDEO_TYPES)
+_COLUMNS = ("times", "types", "content", "sessions")
 
 
 def as_datetime(micros: int) -> datetime:
@@ -160,18 +161,19 @@ class StudentEvents:
     """Mergeable per-(user, course) state: one student's events, column-wise.
 
     Row ``i`` is one event: ``times[i]`` (microseconds since the epoch),
-    ``types[i]`` (its index in ``RETAINED_EVENT_TYPES``), ``kinds[i]`` (its
-    payload: 0 none, 1 video, 2 problem), ``content[i]`` and ``sessions[i]``
-    (ids, shared with the parser), and ``values[4 * i:4 * i + 4]`` (its
-    payload's numbers in field order, NaN where absent, which the parser
-    never yields). Numbers are floats, as the parser yields them.
+    ``types[i]`` (its index in ``RETAINED_EVENT_TYPES``; ``VIDEO_TYPES`` gives
+    its payload's class), ``content[i]`` (its payload's id, None without one)
+    and ``sessions[i]`` (ids, shared with the parser), and
+    ``values[4 * i:4 * i + 4]`` (its payload's numbers in field order, NaN
+    where absent, which the parser never yields). Numbers are floats, as the
+    parser yields them.
     """
 
     __slots__ = ("user_id", "course_id", *_COLUMNS, "values", "_ordered")
 
     def __init__(self, user_id: str, course_id: str) -> None:
         self.user_id, self.course_id = user_id, course_id
-        self.times, self.types, self.kinds = array("q"), bytearray(), bytearray()
+        self.times, self.types = array("q"), bytearray()
         self.content: list[Optional[str]] = []
         self.sessions: list[Optional[str]] = []
         self.values = array("d")
@@ -183,16 +185,14 @@ class StudentEvents:
     def add(self, event: Event) -> None:
         payload = event.payload
         if isinstance(payload, VideoPayload):
-            kind, content = _VIDEO, payload.video_id
+            content = payload.video_id
             a, b, c, d = payload.duration, payload.current_time, payload.old_time, payload.new_time
         elif isinstance(payload, ProblemPayload):
-            kind, content = _PROBLEM, payload.problem_id
-            a, b, c, d = payload.grade, payload.max_grade, None, None
+            content, a, b, c, d = payload.problem_id, payload.grade, payload.max_grade, None, None
         else:
-            kind, content, a, b, c, d = 0, None, None, None, None, None
+            content, a, b, c, d = None, None, None, None, None
         self.times.append((event.timestamp - _EPOCH) // MICROSECOND)
         self.types.append(_TYPE_CODE[event.event_type._value_])
-        self.kinds.append(kind)
         self.content.append(content)
         self.sessions.append(event.session_id)
         self.values.fromlist([nan if a is None else a, nan if b is None else b,
@@ -207,13 +207,13 @@ class StudentEvents:
     def event(self, row: int) -> Event:
         """Row ``row`` as an event."""
         payload = None
-        kind = self.kinds[row]
-        if kind:
+        content = self.content[row]
+        if content is not None:
             a, b, c, d = (None if x != x else x for x in self.values[4 * row:4 * row + 4])
-            if kind == _VIDEO:
-                payload = VideoPayload(self.content[row], a, b, c, d)
+            if self.types[row] in _VIDEO_CODES:
+                payload = VideoPayload(content, a, b, c, d)
             else:
-                payload = ProblemPayload(self.content[row], a, b)
+                payload = ProblemPayload(content, a, b)
         return Event(self.user_id, self.course_id, self.sessions[row],
                      as_datetime(self.times[row]), RETAINED_EVENT_TYPES[self.types[row]], payload)
 
@@ -238,22 +238,23 @@ class StudentEvents:
             self.values = _take(self.values, [4 * row + i for row in order for i in range(4)])
         self._ordered = True
 
-    def _streams(self, kind: int) -> dict[str, list[int]]:
-        streams: dict[str, list[int]] = {}
-        for row, (row_kind, content) in enumerate(zip(self.kinds, self.content)):
-            if row_kind == kind:
-                streams.setdefault(content, []).append(row)
-        return streams
+    def _streams(self) -> tuple[dict[str, list[int]], dict[str, list[int]]]:
+        """Both content-stream maps, from one walk."""
+        videos, problems = {}, {}
+        for row, (code, content) in enumerate(zip(self.types, self.content)):
+            if content is not None:
+                (videos if code in _VIDEO_CODES else problems).setdefault(content, []).append(row)
+        return videos, problems
 
     @property
     def video_events(self) -> dict[str, list[int]]:
         """Video id -> the rows of its events, in row order."""
-        return self._streams(_VIDEO)
+        return self._streams()[0]
 
     @property
     def problem_events(self) -> dict[str, list[int]]:
         """Problem id -> the rows of its events, in row order."""
-        return self._streams(_PROBLEM)
+        return self._streams()[1]
 
     def watch_record(self, rows: Iterable[int]) -> WatchRecord:
         """Watched-content intervals of one video's rows, read in the given
@@ -268,7 +269,7 @@ class StudentEvents:
         carrying one; intervals are clamped to [0, duration] when it is known.
         """
         # NaN, the absent number, is the one value unequal to itself.
-        types, kinds, values = self.types, self.kinds, self.values
+        types, content, values = self.types, self.content, self.values
         video_id = ""
         duration = nan
         spans: list[tuple[float, float]] = []
@@ -277,10 +278,10 @@ class StudentEvents:
         for row in rows:
             etype = types[row]
             pos = after = nan  # where the event closes an interval; the playhead after it
-            if kinds[row] == _VIDEO:
+            if etype in _VIDEO_CODES and content[row] is not None:
                 i = 4 * row
                 if not video_id:
-                    video_id = self.content[row]
+                    video_id = content[row]
                 if duration != duration:
                     duration = values[i]
                 if etype == _SEEK:
@@ -312,7 +313,7 @@ class StudentEvents:
     def check_score(self, row: int) -> Optional[float]:
         """Score of a problem check: ``grade / max_grade`` when it is graded,
         else 0 for a failed check and absent for any other."""
-        if self.kinds[row] == _PROBLEM:
+        if self.types[row] not in _VIDEO_CODES:  # NaN when the row has no payload
             grade, max_grade = self.values[4 * row], self.values[4 * row + 1]
             if grade == grade and max_grade == max_grade and max_grade:
                 return grade / max_grade
@@ -330,8 +331,8 @@ class StudentEvents:
         problem_id = ""
         attempts: list[tuple[datetime, Optional[float]]] = []
         for row in rows:
-            if not problem_id and self.kinds[row] == _PROBLEM:
-                problem_id = self.content[row]
+            if not problem_id and self.types[row] not in _VIDEO_CODES:
+                problem_id = self.content[row] or ""
             if self.types[row] in _ATTEMPT_CODES:
                 attempts.append((as_datetime(self.times[row]), self.check_score(row)))
 
@@ -363,7 +364,7 @@ class StudentEvents:
         self.sort()
         first_plays: dict[str, datetime] = {}  # played video id -> its first play
         fractions: list[float] = []
-        videos = self.video_events
+        videos, problems = self._streams()
         for vid in sorted(videos):
             rows = videos[vid]
             first = next((row for row in rows if self.types[row] == _PLAY), None)
@@ -375,7 +376,6 @@ class StudentEvents:
 
         # Built in sorted problem-id order, which every mean below relies on.
         attempted: dict[str, ProblemRecord] = {}
-        problems = self.problem_events
         for pid in sorted(problems):
             rec = self.problem_record(problems[pid], passing_threshold)
             if rec.n_attempts > 0:

@@ -45,7 +45,8 @@ class EventType(enum.Enum):
     OTHER = "other"
 
 
-_VIDEO_TYPES = frozenset(
+#: Types whose payload is a :class:`VideoPayload`; the others carry a :class:`ProblemPayload`.
+VIDEO_TYPES = frozenset(
     {
         EventType.LOAD_VIDEO,
         EventType.PLAY_VIDEO,
@@ -390,7 +391,7 @@ def parse_line(text: Union[str, bytes], memo: Optional[dict] = None) -> ParseOut
             raw_payload = None
     payload: Optional[Payload] = None
     if type(raw_payload) is dict:
-        if etype in _VIDEO_TYPES:
+        if etype in VIDEO_TYPES:
             payload = _video_payload(etype, raw_payload, share)
         else:
             payload = _problem_payload(raw_payload, share)

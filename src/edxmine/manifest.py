@@ -15,8 +15,26 @@ from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 
-class ManifestError(ValueError):
+class InputError(Exception):
+    """Anticipated bad input (configs, specs, paths, names); exit code 2."""
+
+
+class ManifestError(InputError, ValueError):
     """Raised for structurally invalid manifest documents."""
+
+
+def read_json(path: Union[str, Path], error: Callable[[str], Exception]):
+    """The value of the UTF-8 JSON config file at ``path``. Text that is not
+    JSON, nests deeper than the decoder's stack allows, or holds a string
+    with a lone surrogate, which no output file can encode, raises ``error``
+    with a message naming the file."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            obj = json.load(handle)
+            json.dumps(obj, ensure_ascii=False).encode("utf-8")
+        except (ValueError, RecursionError) as exc:  # ValueError includes the Unicode errors
+            raise error(f"{path}: invalid JSON ({exc})")
+    return obj
 
 
 class BlockKind(enum.Enum):
@@ -138,9 +156,7 @@ def _require(obj: dict, key: str, path: str):
     return obj[key]
 
 
-def _parse_block(obj, path: str) -> Block:
-    if not isinstance(obj, dict):
-        raise ManifestError(f"{path}: block must be an object")
+def _parse_block(obj: dict, path: str) -> Block:
     block_id = _require(obj, "block_id", path)
     if not isinstance(block_id, str) or not block_id:
         raise ManifestError(f"{path}: block_id must be a non-empty string")
@@ -153,11 +169,16 @@ def _parse_block(obj, path: str) -> Block:
     return Block(block_id=block_id, kind=kind)
 
 
-def _parse_named_list(obj, key: str, path: str) -> list:
+def _objects(obj: dict, key: str, prefix: str) -> Iterator[tuple[str, dict]]:
+    """Each item of the list ``obj[key]`` (absent is empty) with its path,
+    ``prefix`` then ``key[i]``. Every item must be an object."""
     items = obj.get(key, [])
     if not isinstance(items, list):
-        raise ManifestError(f"{path}: {key!r} must be a list")
-    return items
+        raise ManifestError(f"{prefix}{key} must be a list")
+    for i, item in enumerate(items):
+        if not isinstance(item, dict):
+            raise ManifestError(f"{prefix}{key}[{i}]: must be an object")
+        yield f"{prefix}{key}[{i}]", item
 
 
 def parse_manifest(obj: dict) -> CourseManifest:
@@ -175,23 +196,13 @@ def parse_manifest(obj: dict) -> CourseManifest:
             raise ManifestError(f"bad course_start: {obj.get('course_start')!r}")
 
     submodules = []
-    for si, sub in enumerate(_parse_named_list(obj, "submodules", "manifest")):
-        spath = f"submodules[{si}]"
-        if not isinstance(sub, dict):
-            raise ManifestError(f"{spath}: must be an object")
+    for spath, sub in _objects(obj, "submodules", ""):
         chapters = []
-        for ci, chapter in enumerate(_parse_named_list(sub, "chapters", spath)):
-            cpath = f"{spath}.chapters[{ci}]"
-            if not isinstance(chapter, dict):
-                raise ManifestError(f"{cpath}: must be an object")
+        for cpath, chapter in _objects(sub, "chapters", spath + "."):
             sections = []
-            for ei, section in enumerate(_parse_named_list(chapter, "sections", cpath)):
-                epath = f"{cpath}.sections[{ei}]"
-                if not isinstance(section, dict):
-                    raise ManifestError(f"{epath}: must be an object")
+            for epath, section in _objects(chapter, "sections", cpath + "."):
                 blocks = tuple(
-                    _parse_block(b, f"{epath}.blocks[{bi}]")
-                    for bi, b in enumerate(_parse_named_list(section, "blocks", epath))
+                    _parse_block(b, bpath) for bpath, b in _objects(section, "blocks", epath + ".")
                 )
                 sections.append(Section(name=str(section.get("name", "")), blocks=blocks))
             chapters.append(Chapter(name=str(chapter.get("name", "")), sections=tuple(sections)))
@@ -202,23 +213,13 @@ def parse_manifest(obj: dict) -> CourseManifest:
     )
 
 
-def read_json(path: Union[str, Path], error: Callable[[str], Exception]):
-    """The value of the UTF-8 JSON config file at ``path``. Text that is not
-    JSON, nests deeper than the decoder's stack allows, or holds a string
-    with a lone surrogate, which no output file can encode, raises ``error``
-    with a message naming the file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            obj = json.load(handle)
-            json.dumps(obj, ensure_ascii=False).encode("utf-8")
-        except (ValueError, RecursionError) as exc:  # ValueError includes the Unicode errors
-            raise error(f"{path}: invalid JSON ({exc})")
-    return obj
-
-
 def load_manifest(path: Union[str, Path]) -> CourseManifest:
-    """Load and validate a manifest JSON file. Duplicate block ids are rejected."""
-    return parse_manifest(read_json(path, ManifestError))
+    """Load and validate a manifest JSON file; every error names the file."""
+    obj = read_json(path, ManifestError)
+    try:
+        return parse_manifest(obj)
+    except ManifestError as exc:
+        raise ManifestError(f"{path}: {exc}") from None
 
 
 def manifest_to_dict(manifest: CourseManifest) -> dict:

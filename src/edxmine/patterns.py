@@ -217,12 +217,9 @@ def contrast_patterns(results: Mapping[str, MiningResult]) -> list[ContrastRow]:
 
     rows = []
     for symbols, cells in all_patterns.items():
-        rels = [cells.get(name, (0, 0.0))[1] for name, _ in items]
-        gap = max(rels) - min(rels)
-        per_class = {
-            name: cells.get(name, (0, 0.0)) for name, _ in items
-        }
-        rows.append(ContrastRow(symbols=symbols, gap=gap, per_class=per_class))
+        per_class = {name: cells.get(name, (0, 0.0)) for name, _ in items}
+        rels = [rel for _, rel in per_class.values()]
+        rows.append(ContrastRow(symbols=symbols, gap=max(rels) - min(rels), per_class=per_class))
     rows.sort(key=lambda r: (-r.gap, len(r.symbols), r.symbols))
     return rows
 

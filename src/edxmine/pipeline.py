@@ -19,7 +19,9 @@ from itertools import chain
 from pathlib import Path
 from typing import Iterator, Optional, Sequence, Union
 
-from .classify import CLASS_NAMES, FieldCheck, OrdinalClass, RuleConfig, check_fields, classify
+from .classify import (
+    CLASS_NAMES, FieldCheck, OrdinalClass, RuleConfig, check_fields, classify, reject_unknown_keys,
+)
 from .engagement import (
     DEFAULT_PASSING_THRESHOLD,
     StudentAggregate,
@@ -30,7 +32,7 @@ from .engagement import (
     collect_student_events,
 )
 from .events import Event, ParseStats, iter_events
-from .manifest import CourseManifest, load_manifest, read_json
+from .manifest import CourseManifest, InputError, load_manifest, read_json
 from .patterns import (
     MiningResult,
     contrast_patterns,
@@ -49,10 +51,6 @@ from .reports import (
     write_report,
 )
 from .sessions import DEFAULT_GAP
-
-
-class InputError(Exception):
-    """Anticipated bad input (config, paths, names); maps to exit code 2."""
 
 
 @dataclass(frozen=True)
@@ -119,10 +117,8 @@ def load_run_manifest(path: Union[str, Path]) -> RunManifest:
     obj = read_json(path, InputError)
     if not isinstance(obj, dict):
         raise InputError(f"{path}: run config must be a JSON object")
-    unknown = set(obj) - _RUN_KEYS
-    if unknown:
-        raise InputError(f"{path}: unknown run config keys: {sorted(unknown)}")
     try:
+        reject_unknown_keys(obj, _RUN_KEYS, "run config keys")
         check_fields(obj, _RUN_CHECKS)
     except ValueError as exc:
         raise InputError(f"{path}: {exc}")
@@ -140,10 +136,8 @@ def load_run_manifest(path: Union[str, Path]) -> RunManifest:
     for i, entry in enumerate(obj.get("cohorts", [])):
         if not isinstance(entry, dict):
             raise InputError(f"{path}: cohorts[{i}] must be an object")
-        unknown = set(entry) - _COHORT_KEYS
-        if unknown:
-            raise InputError(f"{path}: cohorts[{i}] unknown keys: {sorted(unknown)}")
         try:
+            reject_unknown_keys(entry, _COHORT_KEYS, "keys")
             check_fields(entry, _COHORT_CHECKS)
             compiled = re.compile(entry["pattern"])
         except ValueError as exc:
@@ -170,7 +164,7 @@ def load_run_manifest(path: Union[str, Path]) -> RunManifest:
             raise InputError(f"{path}: bad anchor date for {label!r}: {raw!r}")
 
     try:
-        gap = checked_gap(obj.get("gap_minutes", 30))
+        gap = checked_gap(obj["gap_minutes"]) if "gap_minutes" in obj else DEFAULT_GAP
         passing = checked_passing_threshold(
             obj.get("passing_threshold", DEFAULT_PASSING_THRESHOLD)
         )
@@ -417,7 +411,6 @@ def resolve_min_support(spec: float, n_sequences: int) -> int:
 def run_mining(
     run: RunManifest,
     log_paths: Sequence[Union[str, Path]],
-    classifications_path: Union[str, Path],
     out_dir: Union[str, Path],
     class_names: Optional[Sequence[str]] = None,
     min_support: float = 0.05,
@@ -426,7 +419,9 @@ def run_mining(
     split_check_outcome: bool = False,
     collapse_runs: bool = False,
 ) -> dict:
-    """Per-class pattern tables plus the cross-class contrast table."""
+    """Per-class pattern tables plus the cross-class contrast table, written
+    to ``out_dir``, whose ``classifications.csv`` (as :func:`run_pipeline`
+    writes it) gives each student's class."""
     if class_names:
         unknown = [n for n in class_names if n not in CLASS_NAMES]
         if unknown:
@@ -437,7 +432,8 @@ def run_mining(
     else:
         selected = list(CLASS_NAMES)
 
-    student_classes = read_classifications(classifications_path)
+    out_dir = Path(out_dir)
+    student_classes = read_classifications(out_dir / "classifications.csv")
     _, students, _ = parse_log_files(log_paths)
     students_by_class: dict[str, dict[StudentKey, StudentEvents]] = {
         name: {} for name in selected
@@ -448,7 +444,6 @@ def run_mining(
             bucket[key] = student
     del students
 
-    out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     params = {
         "min_support": min_support,

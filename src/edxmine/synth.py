@@ -18,7 +18,7 @@ from datetime import date, datetime, time, timedelta, timezone
 from pathlib import Path
 from typing import Optional, Union
 
-from .classify import DEFAULT_RULES, FieldCheck, OrdinalClass, check_fields
+from .classify import DEFAULT_RULES, FieldCheck, OrdinalClass, check_fields, reject_unknown_keys
 from .engagement import DEFAULT_PASSING_THRESHOLD, _score_r_value
 from .events import format_timestamp
 from .manifest import (
@@ -26,6 +26,7 @@ from .manifest import (
     BlockKind,
     Chapter,
     CourseManifest,
+    InputError,
     Section,
     SubModule,
     load_manifest,
@@ -33,7 +34,6 @@ from .manifest import (
     parse_manifest,
     read_json,
 )
-from .pipeline import InputError
 
 MARGIN = 0.05
 
@@ -41,11 +41,11 @@ PACING_SPREAD = "spread"  # activity spaced over the whole term
 PACING_COMPRESSED = "compressed"  # activity packed into a <=2 week burst
 
 
-class AmbiguousPersonaError(ValueError):
+class AmbiguousPersonaError(InputError, ValueError):
     """Persona ranges do not sit safely inside the target class region."""
 
 
-class GenerationError(RuntimeError):
+class GenerationError(InputError, RuntimeError):
     """Manifest cannot supply the content a persona asks for."""
 
 
@@ -630,6 +630,7 @@ _RANGE_CHECKS: dict[str, FieldCheck] = {
 def _persona_from_dict(p) -> PersonaSpec:
     if type(p) is not dict:
         raise ValueError(f"a persona must be an object, got {p!r}")
+    reject_unknown_keys(p, (f.name for f in fields(PersonaSpec)), "persona keys")
     check_fields(p, _PERSONA_CHECKS)
     ranges = {}
     for key, check in _RANGE_CHECKS.items():
@@ -650,18 +651,19 @@ def _persona_from_dict(p) -> PersonaSpec:
 
 
 def corpus_spec_from_dict(obj: dict, base_dir: Optional[Path] = None) -> CorpusSpec:
-    """Build a spec from its JSON form. A mistyped value raises ValueError
-    naming its key, and a missing one KeyError."""
+    """Build a spec from its JSON form. An unknown or mistyped key raises
+    ValueError naming it, and a missing one KeyError."""
+    reject_unknown_keys(obj, {"manifest", "manifest_path", *_SPEC_CHECKS}, "corpus spec keys")
     check_fields(obj, _SPEC_CHECKS)
+    if ("manifest" in obj) == ("manifest_path" in obj):
+        raise ValueError("corpus spec needs one of 'manifest' and 'manifest_path'")
     if "manifest" in obj:
         manifest = parse_manifest(obj["manifest"])
-    elif "manifest_path" in obj:
+    else:
         path = Path(obj["manifest_path"])
         if base_dir is not None and not path.is_absolute():
             path = base_dir / path
         manifest = load_manifest(path)
-    else:
-        raise ValueError("corpus spec needs 'manifest' or 'manifest_path'")
     return CorpusSpec(
         manifest=manifest,
         personas=tuple(_persona_from_dict(p) for p in obj.get("personas", [])),

@@ -396,6 +396,14 @@ class TestScoreR:
         events = [problem_event("problem_check", t=0)]
         assert score_r(problem_history(events)) == 4
 
+    def test_reads_the_index_the_record_was_built_with(self):
+        # A final of 0.6 passes at a threshold of 0.5, though not at the default.
+        state = StudentEvents("u1", "c1")
+        state.add(problem_event("problem_check", grade=0.6, max_grade=1))
+        record = state.problem_record(range(len(state)), passing_threshold=0.5)
+        assert record.score_r == 1
+        assert score_r(record) == record.score_r
+
     def test_no_attempts_raises(self):
         record = problem_history([problem_event("problem_show", t=0)])
         with pytest.raises(NoAttemptsError):

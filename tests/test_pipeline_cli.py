@@ -261,7 +261,7 @@ class TestRunPipeline:
         for name, logs in (("whole", [whole]), ("shards", [shard_b, shard_a])):
             out = tmp_path / name
             files = run_pipeline(run, logs, out).files
-            files.update(run_mining(run, logs, out / "classifications.csv", out, max_len=3))
+            files.update(run_mining(run, logs, out, max_len=3))
             outputs[name] = files
         # run_meta.json tallies each input file, so its per_file_stats differ.
         del outputs["whole"]["run_meta"]
@@ -294,8 +294,8 @@ class TestRunPipeline:
             log.write_text("\n".join(small_corpus["corpus"].lines + lines) + "\n")
             out = tmp_path / f"out-{flip}"
             files = run_pipeline(run, [log], out).files
-            files.update(run_mining(run, [log], out / "classifications.csv", out, max_len=3,
-                                    min_support=1, split_check_outcome=True))
+            files.update(run_mining(run, [log], out, max_len=3, min_support=1,
+                                    split_check_outcome=True))
             outputs[flip] = {name: path.read_bytes() for name, path in files.items()}
         assert outputs[False] == outputs[True]
 
@@ -326,8 +326,7 @@ class TestRunPipeline:
         assert "NaN" in log.read_text() and "Infinity" in log.read_text()
         out = tmp_path / "out"
         run_pipeline(run, [log], out, fmt=fmt)
-        run_mining(run, [log], out / "classifications.csv", out, max_len=3, min_support=1,
-                   split_check_outcome=True)
+        run_mining(run, [log], out, max_len=3, min_support=1, split_check_outcome=True)
 
         def reject(constant):
             raise ValueError(f"non-standard JSON constant {constant}")
@@ -361,7 +360,7 @@ class TestRunPipeline:
         log.write_text("\n".join(lines) + "\n")
         out = tmp_path / "out"
         run_pipeline(RunManifest(), [log], out)
-        run_mining(RunManifest(), [log], out / "classifications.csv", out, min_support=1)
+        run_mining(RunManifest(), [log], out, min_support=1)
 
         def rows(name):
             with open(out / name, newline="") as handle:
@@ -425,7 +424,6 @@ class TestMining:
         files = run_mining(
             run,
             [small_corpus["events"]],
-            out / "classifications.csv",
             out,
             class_names=["studier", "at_risk", "studier"],  # a repeat is mined once
             min_support=0.5,
@@ -458,7 +456,7 @@ class TestMining:
         assert len(instances) == 2 * len({user for user, _ in instances}) == 8
 
         run_mining(
-            run, [log], out / "classifications.csv", out,
+            run, [log], out,
             class_names=["high_engagement"], min_support=1, max_len=1,
             granularity="per_user",
         )
@@ -472,7 +470,6 @@ class TestMining:
             run_mining(
                 run,
                 [small_corpus["events"]],
-                tmp_path / "classifications.csv",
                 tmp_path,
                 class_names=["slacker"],
             )
@@ -483,7 +480,6 @@ class TestMining:
             run_mining(
                 run,
                 [small_corpus["events"]],
-                tmp_path / "classifications.csv",
                 tmp_path,
                 class_names=["studier"],
             )
@@ -495,7 +491,6 @@ class TestMining:
         files = run_mining(
             run,
             [small_corpus["events"]],
-            out / "classifications.csv",
             out,
             class_names=["studier"],
             min_support=10_000,
@@ -1137,3 +1132,133 @@ class TestCli:
         spec_path = tmp_path / "corpus.json"
         spec_path.write_text(json.dumps(doc))
         assert main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "o")]) == 2
+
+
+def _one_section(doc: dict) -> dict:
+    """A corpus spec dict whose manifest keeps only its first section."""
+    submodule = doc["manifest"]["submodules"][0]
+    chapter = submodule["chapters"][0]
+    section = chapter["sections"][0]
+    doc["manifest"]["submodules"] = [dict(submodule, chapters=[dict(chapter, sections=[section])])]
+    return doc
+
+
+def _blocks_manifest(block) -> str:
+    return json.dumps({"submodules": [{"chapters": [{"sections": [{"blocks": [block]}]}]}]})
+
+
+# Each case: the file's text, and a fragment its one error line must hold.
+_BAD_MANIFESTS = {
+    "not-json": ("{", "invalid JSON"),
+    "not-an-object": ("[]", "manifest must be a JSON object"),
+    "course-id": ('{"course_id": 5}', "course_id must be a string"),
+    "course-start": ('{"course_start": "someday"}', "bad course_start"),
+    "submodules-not-a-list": ('{"submodules": 5}', "submodules must be a list"),
+    "submodule": ('{"submodules": [5]}', "submodules[0]: must be an object"),
+    "chapter": ('{"submodules": [{"chapters": [5]}]}', "chapters[0]: must be an object"),
+    "section": ('{"submodules": [{"chapters": [{"sections": [5]}]}]}',
+                "sections[0]: must be an object"),
+    "block": (_blocks_manifest(5), "blocks[0]: must be an object"),
+    "block-id": (_blocks_manifest({"block_id": "", "kind": "video"}),
+                 "block_id must be a non-empty string"),
+    "duplicate-block": (
+        json.dumps({"submodules": [{"chapters": [{"sections": [{"blocks": [
+            {"block_id": "b", "kind": "video"}, {"block_id": "b", "kind": "text"}]}]}]}]}),
+        "duplicate block_id",
+    ),
+}
+_BAD_RUN_CONFIGS = {
+    "not-an-object": ("[]", "run config must be a JSON object"),
+    "cohort-not-an-object": ('{"cohorts": [5]}', "cohorts[0] must be an object"),
+    "cohort-without-pattern": ('{"cohorts": [{}]}', "cohorts[0] bad pattern"),
+    "cohort-bad-regex": ('{"cohorts": [{"pattern": "("}]}', "cohorts[0] bad pattern"),
+    "cohort-modality": ('{"cohorts": [{"pattern": ".*", "modality": "hybrid"}]}',
+                        "cohorts[0] modality must be on_campus or online"),
+}
+
+
+def _spec_text(damage) -> str:
+    doc = corpus_spec_to_dict(default_corpus_spec(users_per_class=1, seed=55))
+    return json.dumps(damage(doc))
+
+
+_BAD_SPECS = {
+    "not-an-object": ("[]", "corpus spec must be a JSON object"),
+    "persona-not-an-object": (_spec_text(lambda doc: dict(doc, personas=[5])),
+                              "a persona must be an object"),
+    "manifest-too-small": (_spec_text(_one_section), "manifest too small for persona"),
+}
+
+
+class TestInputErrors:
+    """Every input-error branch exits 2 through ``main`` with one error line
+    and writes nothing."""
+
+    @staticmethod
+    def _error_line(capsys) -> str:
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("edxmine: error: "), err
+        return err[0]
+
+    @staticmethod
+    def _log(tmp_path) -> str:
+        log = tmp_path / "events.log"
+        log.write_text(raw_line() + "\n")
+        return str(log)
+
+    @pytest.mark.parametrize("case", sorted(_BAD_MANIFESTS))
+    def test_bad_manifest_names_its_file_once(self, tmp_path, capsys, case):
+        text, fragment = _BAD_MANIFESTS[case]
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(text)
+        out = tmp_path / "out"
+        argv = ["pipeline", self._log(tmp_path), "--manifest", str(manifest), "--out", str(out)]
+        assert main(argv) == 2
+        line = self._error_line(capsys)
+        assert line.startswith(f"edxmine: error: {manifest}: ") and fragment in line, line
+        assert line.count(str(manifest)) == 1, line
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", sorted(_BAD_RUN_CONFIGS))
+    def test_bad_run_config(self, tmp_path, capsys, case):
+        text, fragment = _BAD_RUN_CONFIGS[case]
+        config = tmp_path / "run.json"
+        config.write_text(text)
+        out = tmp_path / "out"
+        argv = ["pipeline", self._log(tmp_path), "--run-config", str(config), "--out", str(out)]
+        assert main(argv) == 2
+        line = self._error_line(capsys)
+        assert line.startswith(f"edxmine: error: {config}: ") and fragment in line, line
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", sorted(_BAD_SPECS))
+    def test_bad_synth_spec(self, tmp_path, capsys, case):
+        text, fragment = _BAD_SPECS[case]
+        spec_path = tmp_path / "corpus.json"
+        spec_path.write_text(text)
+        out = tmp_path / "synth"
+        assert main(["synth", "--spec", str(spec_path), "--out", str(out)]) == 2
+        assert fragment in self._error_line(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "where, key, value",
+        [
+            ("persona", "pacnig", "compressed"),
+            ("spec", "seeds", 3),
+            ("spec", "manifest_path", "manifest.json"),
+        ],
+        ids=["persona-key-typo", "unknown-spec-key", "two-manifests"],
+    )
+    def test_synth_spec_unknown_key_or_two_manifests(self, tmp_path, capsys, where, key, value):
+        spec = default_corpus_spec(users_per_class=1, seed=55)
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest_to_dict(spec.manifest)))
+        doc = corpus_spec_to_dict(spec)
+        (doc["personas"][0] if where == "persona" else doc)[key] = value
+        spec_path = tmp_path / "corpus.json"
+        spec_path.write_text(json.dumps(doc))
+        out = tmp_path / "synth"
+        assert main(["synth", "--spec", str(spec_path), "--out", str(out)]) == 2
+        line = self._error_line(capsys)
+        assert line.startswith(f"edxmine: error: {spec_path}: ") and key in line, line
+        assert not out.exists()
