@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import random
 from dataclasses import replace
 from datetime import date
 
 import pytest
 
-from edxmine.classify import classify
+from edxmine.classify import OrdinalClass, classify
 from edxmine.engagement import aggregate_corpus
 from edxmine.events import ParseStats, parse_events
 from edxmine.manifest import manifest_to_dict
@@ -70,6 +72,53 @@ class TestValidation:
         spec = replace(spec, personas=(bad,))
         with pytest.raises(AmbiguousPersonaError):
             generate_corpus(spec)
+
+
+def _shift_ints(rng, pair, least=0):
+    lo = max(pair[0] + rng.randint(-6, 6), least)
+    return lo, lo + max(pair[1] - pair[0] + rng.randint(-1, 1), 0)
+
+
+def _shift_fractions(rng, pair):
+    # Steps of 0.05 land exactly on the margin around each threshold.
+    lo = min(max(round(pair[0] + 0.05 * rng.randint(-2, 2), 2), 0.0), 1.0)
+    return lo, min(round(lo + pair[1] - pair[0] + 0.05 * rng.randint(-1, 1), 2), 1.0)
+
+
+def _random_persona(rng, bases):
+    """A default persona with every range moved a little, its order flag
+    drawn, and half the time another target class."""
+    base = rng.choice(bases)
+    target = base.target_class if rng.random() < 0.5 else rng.choice(list(OrdinalClass))
+    return replace(
+        base,
+        target_class=target,
+        video_watch_range=_shift_fractions(rng, base.video_watch_range),
+        videos_played_range=_shift_ints(rng, base.videos_played_range),
+        problems_attempted_range=_shift_ints(rng, base.problems_attempted_range),
+        attempts_per_problem_range=_shift_ints(rng, base.attempts_per_problem_range, 1),
+        first_score_range=_shift_fractions(rng, base.first_score_range),
+        watch_before_problems=rng.random() < 0.5,
+    )
+
+
+def test_validate_persona_golden_outcomes():
+    """Pin the verdict and message of ``validate_persona`` on 20,000 random
+    personas near the class boundaries."""
+    rng = random.Random(20261019)
+    bases = default_personas(5)
+    digest = hashlib.sha256()
+    accepted = 0
+    for _ in range(20_000):
+        try:
+            validate_persona(_random_persona(rng, bases))
+            outcome = "ok"
+            accepted += 1
+        except AmbiguousPersonaError as exc:
+            outcome = str(exc)
+        digest.update(outcome.encode() + b"\n")
+    assert accepted == 2327
+    assert digest.hexdigest() == "d0750131f2a3ce7bc8d7f30ad41fa6aa64c0982f0a3d3bc39d51d13eae977bca"
 
 
 class TestDeterminism:
