@@ -145,7 +145,10 @@ def cmd_synth(args) -> int:
     spec = load_corpus_spec(args.spec)
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
-    corpus = generate_corpus(spec)
+    try:
+        corpus = generate_corpus(spec)
+    except InputError as exc:
+        raise InputError(f"{args.spec}: {exc}") from None
     events_path, labels_path = write_corpus(corpus, args.out)
     print(f"wrote {events_path} ({len(corpus.lines)} events)")
     print(f"wrote {labels_path} ({len(corpus.labels)} users)")

@@ -53,7 +53,6 @@ def build_alphabet(split_check_outcome: bool = False) -> SymbolAlphabet:
 
 @dataclass(frozen=True)
 class SymbolSequence:
-    owner: str
     symbols: tuple[int, ...]
 
 
@@ -87,11 +86,11 @@ def encode_sequences(
         # input order, or the output would depend on how the log was split.
         if granularity == "per_user":
             student.sort()
-            groups = [(student.user_id, range(len(student)))]
+            groups = [range(len(student))]
         else:
-            groups = group_into_sessions(student, gap)
+            groups = [rows for _, rows in group_into_sessions(student, gap)]
         types = student.types
-        for owner, rows in groups:
+        for rows in groups:
             symbols: list[int] = []
             for row in rows:
                 etype = types[row]
@@ -105,7 +104,7 @@ def encode_sequences(
                     continue
                 symbols.append(code)
             if symbols:
-                sequences.append(SymbolSequence(owner=owner, symbols=tuple(symbols)))
+                sequences.append(SymbolSequence(symbols=tuple(symbols)))
     return sequences, alphabet
 
 

@@ -144,114 +144,53 @@ def validate_persona(p: PersonaSpec) -> None:
     # Exact-margin personas must validate despite float representation.
     eps = 1e-9
 
-    def clears_below(value: float, threshold: float) -> bool:
+    # Clear a threshold by the margin.
+    def below(value: float, threshold: float) -> bool:
         return value <= threshold - m + eps
 
-    def clears_above(value: float, threshold: float) -> bool:
+    def above(value: float, threshold: float) -> bool:
         return value >= threshold + m - eps
 
-    # Metrics present for every user of this persona / absent for every user.
-    metrics_present = v_lo >= 1 and p_lo >= 1
-    metrics_absent = v_hi == 0 or p_hi == 0
-
-    def pass_no_show() -> bool:
-        return total_hi <= cfg.no_show_total - 1
-
-    def fail_no_show() -> bool:
-        return total_lo >= cfg.no_show_total + 1
-
-    def pass_box() -> bool:
+    def engaged(watch: float, scorer: float) -> tuple[bool, bool]:
+        """(passes, fails) of a watch-above / retry-index-below rule, which needs both metrics."""
         return (
-            p_lo >= 1
-            and (v_hi == 0 or clears_below(v_hi / p_lo, cfg.ratio_threshold))
-            and clears_below(a_hi, cfg.attempts_per_problem_max)
+            v_lo >= 1 and p_lo >= 1 and above(w_lo, watch) and below(r_hi, scorer),
+            v_hi == 0 or p_hi == 0 or below(w_hi, watch) or above(r_lo, scorer),
         )
 
-    def fail_box() -> bool:
-        if p_hi == 0:
-            return True
-        return clears_above(v_lo / p_hi, cfg.ratio_threshold) or clears_above(
-            a_lo, cfg.attempts_per_problem_max
-        )
-
-    def pass_voyeur() -> bool:
-        return v_lo >= cfg.voyeur_min_videos + 1 and (
-            p_hi == 0 or clears_below(p_hi / v_lo, cfg.ratio_threshold)
-        )
-
-    def fail_voyeur() -> bool:
-        # Integer video counts are exact, so sitting at the boundary of the
-        # strict > is deterministic.
-        if v_hi <= cfg.voyeur_min_videos:
-            return True
-        return v_hi > 0 and clears_above(p_lo / v_hi, cfg.ratio_threshold)
-
-    def fail_watch(threshold: float) -> bool:
-        return metrics_absent or clears_below(w_hi, threshold)
-
-    def fail_scorer(threshold: float) -> bool:
-        return metrics_absent or clears_above(r_lo, threshold)
-
-    def pass_studier() -> bool:
-        return (
-            metrics_present
-            and p.watch_before_problems
-            and clears_above(w_lo, cfg.watch_hi)
-            and clears_below(r_hi, cfg.scorer_hi)
-            and clears_above(1.0, cfg.order_min)
-        )
-
-    def fail_studier() -> bool:
-        if fail_watch(cfg.watch_hi) or fail_scorer(cfg.scorer_hi):
-            return True
-        return not p.watch_before_problems and clears_below(0.0, cfg.order_min)
-
-    def pass_high() -> bool:
-        return (
-            metrics_present
-            and clears_above(w_lo, cfg.watch_hi)
-            and clears_below(r_hi, cfg.scorer_hi)
-        )
-
-    def fail_high() -> bool:
-        return fail_watch(cfg.watch_hi) or fail_scorer(cfg.scorer_hi)
-
-    def pass_normal() -> bool:
-        return (
-            metrics_present
-            and clears_above(w_lo, cfg.watch_mid)
-            and clears_below(r_hi, cfg.scorer_mid)
-        )
-
-    def fail_normal() -> bool:
-        return fail_watch(cfg.watch_mid) or fail_scorer(cfg.scorer_mid)
-
-    def pass_par() -> bool:
-        return (
-            metrics_present
-            and clears_above(w_lo, cfg.watch_lo)
-            and clears_below(r_hi, cfg.scorer_lo)
-        )
-
-    def fail_par() -> bool:
-        return fail_watch(cfg.watch_lo) or fail_scorer(cfg.scorer_lo)
-
-    chain = [
-        (OrdinalClass.NO_SHOW, pass_no_show, fail_no_show),
-        (OrdinalClass.BOX_CHECKER, pass_box, fail_box),
-        (OrdinalClass.VOYEUR, pass_voyeur, fail_voyeur),
-        (OrdinalClass.STUDIER, pass_studier, fail_studier),
-        (OrdinalClass.HIGH_ENGAGEMENT, pass_high, fail_high),
-        (OrdinalClass.NORMAL_ENGAGEMENT, pass_normal, fail_normal),
-        (OrdinalClass.POTENTIALLY_AT_RISK, pass_par, fail_par),
-        (OrdinalClass.AT_RISK, lambda: True, lambda: False),
-    ]
-    for cls, passes, fails in chain:
+    ratio, apm = cfg.ratio_threshold, cfg.attempts_per_problem_max
+    high = engaged(cfg.watch_hi, cfg.scorer_hi)
+    # (every user passes the rule, every user fails it) per class. Integer
+    # counts clear by 1, and each division is guarded against zero.
+    rules = {
+        OrdinalClass.NO_SHOW: (
+            total_hi <= cfg.no_show_total - 1, total_lo >= cfg.no_show_total + 1
+        ),
+        OrdinalClass.BOX_CHECKER: (
+            p_lo >= 1 and (v_hi == 0 or below(v_hi / p_lo, ratio)) and below(a_hi, apm),
+            p_hi == 0 or above(v_lo / p_hi, ratio) or above(a_lo, apm),
+        ),
+        OrdinalClass.VOYEUR: (
+            v_lo >= cfg.voyeur_min_videos + 1 and (p_hi == 0 or below(p_hi / v_lo, ratio)),
+            # Video counts are integers, so sitting on the strict > is exact.
+            v_hi <= cfg.voyeur_min_videos or (v_hi > 0 and above(p_lo / v_hi, ratio)),
+        ),
+        OrdinalClass.STUDIER: (
+            high[0] and p.watch_before_problems and above(1.0, cfg.order_min),
+            high[1] or (not p.watch_before_problems and below(0.0, cfg.order_min)),
+        ),
+        OrdinalClass.HIGH_ENGAGEMENT: high,
+        OrdinalClass.NORMAL_ENGAGEMENT: engaged(cfg.watch_mid, cfg.scorer_mid),
+        OrdinalClass.POTENTIALLY_AT_RISK: engaged(cfg.watch_lo, cfg.scorer_lo),
+        OrdinalClass.AT_RISK: (True, False),
+    }
+    for cls in OrdinalClass:  # the order classify evaluates its rules in
+        passes, fails = rules[cls]
         if cls is p.target_class:
-            if not passes():
+            if not passes:
                 problems.append(f"ranges do not clear the {cls.value} rule with margin {m}")
             break
-        if not fails():
+        if not fails:
             problems.append(
                 f"ranges cannot rule out {cls.value} (evaluated before {p.target_class.value})"
             )
@@ -538,28 +477,31 @@ def generate_corpus(spec: CorpusSpec) -> SynthCorpus:
     """Emit log lines plus the ground-truth label per user.
 
     Every persona is validated first; an out-of-region range raises
-    :class:`AmbiguousPersonaError` before anything is generated.
+    :class:`AmbiguousPersonaError` before anything is generated. Errors about
+    a persona start with ``personas[<i>]: ``.
     """
-    for persona in spec.personas:
-        validate_persona(persona)
-
     sections = _section_contents(spec.manifest)
     course_id = spec.manifest.course_id
     org_id = course_id.split(":", 1)[-1].split("+", 1)[0] if ":" in course_id else "SYN"
 
     lines: list[str] = []
     labels: list[tuple[str, str]] = []
-    for p_idx, persona in enumerate(spec.personas):
-        for i in range(persona.n_users):
-            rng = random.Random(f"{spec.seed}/{p_idx}/{persona.seed_offset}/{i}")
-            user_id = f"u{spec.seed}-{p_idx:02d}-{i:04d}"
-            lines.extend(
-                _generate_user(
-                    rng, user_id, persona, sections, course_id, org_id,
-                    spec.term_start, spec.weeks,
+    try:
+        for p_idx, persona in enumerate(spec.personas):
+            validate_persona(persona)
+        for p_idx, persona in enumerate(spec.personas):
+            for i in range(persona.n_users):
+                rng = random.Random(f"{spec.seed}/{p_idx}/{persona.seed_offset}/{i}")
+                user_id = f"u{spec.seed}-{p_idx:02d}-{i:04d}"
+                lines.extend(
+                    _generate_user(
+                        rng, user_id, persona, sections, course_id, org_id,
+                        spec.term_start, spec.weeks,
+                    )
                 )
-            )
-            labels.append((user_id, persona.target_class.value))
+                labels.append((user_id, persona.target_class.value))
+    except InputError as exc:
+        raise type(exc)(f"personas[{p_idx}]: {exc}") from None
     return SynthCorpus(lines=lines, labels=labels)
 
 

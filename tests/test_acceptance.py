@@ -122,11 +122,8 @@ def test_criterion_4_prefixspan_oracle():
         rng = random.Random(1994)
         for _ in range(200):
             sequences = [
-                SymbolSequence(
-                    owner=f"s{i}",
-                    symbols=tuple(rng.randrange(4) for _ in range(rng.randint(1, 10))),
-                )
-                for i in range(rng.randint(1, 8))
+                SymbolSequence(symbols=tuple(rng.randrange(4) for _ in range(rng.randint(1, 10))))
+                for _ in range(rng.randint(1, 8))
             ]
             min_support = rng.choice([1, 2, 3])
             max_len = 10  # brute force enumerates every subsequence

@@ -26,7 +26,7 @@ from conftest import bare_event, problem_event, video_event
 
 
 def seqs(*symbol_lists) -> list[SymbolSequence]:
-    return [SymbolSequence(owner=f"s{i}", symbols=tuple(s)) for i, s in enumerate(symbol_lists)]
+    return [SymbolSequence(symbols=tuple(s)) for s in symbol_lists]
 
 
 def brute_force(sequences, min_support, max_len) -> dict[tuple, int]:

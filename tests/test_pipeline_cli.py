@@ -1182,11 +1182,20 @@ def _spec_text(damage) -> str:
     return json.dumps(damage(doc))
 
 
+def _ambiguous_studier(doc: dict) -> dict:
+    """A corpus spec dict whose studier persona watches too little for its rule."""
+    doc["personas"][3]["video_watch_range"] = [0.5, 0.9]
+    return doc
+
+
 _BAD_SPECS = {
     "not-an-object": ("[]", "corpus spec must be a JSON object"),
     "persona-not-an-object": (_spec_text(lambda doc: dict(doc, personas=[5])),
                               "a persona must be an object"),
-    "manifest-too-small": (_spec_text(_one_section), "manifest too small for persona"),
+    "manifest-too-small": (_spec_text(_one_section),
+                           "personas[0]: manifest too small for persona no_show: "),
+    "ambiguous-persona": (_spec_text(_ambiguous_studier),
+                          "personas[3]: ranges do not clear the studier rule with margin 0.05"),
 }
 
 
@@ -1238,7 +1247,8 @@ class TestInputErrors:
         spec_path.write_text(text)
         out = tmp_path / "synth"
         assert main(["synth", "--spec", str(spec_path), "--out", str(out)]) == 2
-        assert fragment in self._error_line(capsys)
+        line = self._error_line(capsys)
+        assert line.startswith(f"edxmine: error: {spec_path}: ") and fragment in line, line
         assert not out.exists()
 
     @pytest.mark.parametrize(
