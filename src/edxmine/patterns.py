@@ -2,18 +2,19 @@
 
 Sequences are per-user or per-session streams of event-type symbols.
 Patterns are counted by subsequence containment (not necessarily
-contiguous), one count per containing sequence. Before the search, each
-(sequence, offset) suffix gets one integer id and a table, built once
-backwards over the sequence, of (symbol, id of the suffix after that
-symbol's first position) for each distinct symbol in it. The miner grows
-patterns depth-first over projected databases kept as lists of suffix ids,
-so projecting a suffix reads at most one pair per alphabet symbol instead of
-scanning it; input sequences are never copied.
+contiguous), one count per containing sequence. The miner lays the
+sequences end to end in one bitset, each followed by a guard bit, and gives
+each symbol one Python int marking where it occurs. A pattern is a bitmap of
+the positions where an occurrence of it can end; extending it by a symbol is
+a few whole-int operations (a subtraction marks everything after each
+sequence's first end, an AND with the symbol's bitmap) and its support is a
+popcount of the guard bits, so no per-suffix table is built and input
+sequences are never copied. This is SPAM's bitmap representation (Ayres et
+al., KDD 2002) under PrefixSpan's depth-first growth (Pei et al., ICDE 2001).
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from datetime import timedelta
 from pathlib import Path
@@ -25,6 +26,8 @@ from .sessions import DEFAULT_GAP, group_into_sessions
 
 CHECK_PASS = "check_pass"
 CHECK_FAIL = "check_fail"
+# The layout byte that ends each sequence in prefixspan; no symbol code.
+_GUARD = 255
 
 
 class ParameterMismatchError(ValueError):
@@ -121,45 +124,56 @@ def prefixspan(
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
 
-    # Suffix seq[offset:] has id base + offset, the empty suffix included.
-    # first_next[id] pairs each distinct symbol of that suffix with the id of
-    # the suffix that follows the symbol's first position.
-    first_next: list[tuple[tuple[int, int], ...]] = []
-    starts: list[int] = []
-    n_symbols = 0
+    # Bit i stands for byte i of the layout: each non-empty sequence's codes,
+    # then a guard byte. An empty sequence contains no pattern, so it adds
+    # no block.
+    layout = bytearray()
+    blocks = 0
     for seq in sequences:
-        symbols = seq.symbols
-        base = len(first_next)
-        starts.append(base)
-        first_next.extend([()] * (len(symbols) + 1))
-        first: dict[int, tuple[int, int]] = {}
-        for offset in range(len(symbols) - 1, -1, -1):
-            sym = symbols[offset]
-            first[sym] = (sym, base + offset + 1)
-            first_next[base + offset] = tuple(first.values())
-        if first:
-            n_symbols = max(n_symbols, max(first) + 1)
+        if seq.symbols:
+            layout += bytes(seq.symbols)
+            layout.append(_GUARD)
+            blocks += 1
+    if layout.count(_GUARD) != blocks:
+        raise ValueError(f"symbol codes must be below {_GUARD}")
+    if not blocks:
+        return []
+    # int(..., 2) reads the most significant digit first.
+    digits = layout[::-1]
 
+    def bitmap(code: int) -> int:
+        table = bytearray(b"0" * 256)
+        table[code] = ord("1")
+        return int(digits.translate(table), 2)
+
+    guard = bitmap(_GUARD)
+    data = ((1 << len(layout)) - 1) ^ guard
+    low = ((guard << 1) | 1) & data  # each block's first bit
+    bits = {code: bitmap(code) for code in sorted(set(layout) - {_GUARD})}
     found: list[SequencePattern] = []
 
-    def grow(projection: list[int], prefix: tuple[int, ...]) -> None:
-        # A suffix id belongs to one sequence, so each posting list counts
-        # distinct sequences.
-        postings_by_symbol: list[list[int]] = [[] for _ in range(n_symbols)]
-        appends = [postings.append for postings in postings_by_symbol]
-        for suffix in projection:
-            for sym, next_suffix in first_next[suffix]:
-                appends[sym](next_suffix)
-        for sym, postings in enumerate(postings_by_symbol):
-            support = len(postings)
-            if support < min_support:
-                continue
-            pattern = prefix + (sym,)
-            found.append(SequencePattern(symbols=pattern, support=support))
-            if len(pattern) < max_len:
-                grow(postings, pattern)
+    def grow(after: int, prefix: tuple[int, ...], candidates: list[int]) -> None:
+        # ``after`` marks the positions past the first end of ``prefix`` in
+        # each sequence. Subtracting ``low`` borrows up to each block's lowest
+        # set bit and no further, as the guards are set, so a guard survives
+        # exactly when its block holds a set bit.
+        frequent = []
+        for sym in candidates:
+            ends = after & bits[sym]
+            support = (((ends | guard) - low) & guard).bit_count()
+            if support >= min_support:
+                pattern = prefix + (sym,)
+                frequent.append((pattern, ends))
+                found.append(SequencePattern(symbols=pattern, support=support))
+        if len(prefix) + 1 == max_len:
+            return
+        # prefix + (t, sym) is frequent only if prefix + (sym,) is.
+        symbols = [pattern[-1] for pattern, _ in frequent]
+        for pattern, ends in frequent:
+            g = ends | guard  # g ^ (g - low): each block's bits up to its first end
+            grow(data & ~(g ^ (g - low)), pattern, symbols)
 
-    grow(starts, ())
+    grow(data, (), list(bits))
     found.sort(key=lambda p: (len(p.symbols), p.symbols))
     return found
 
@@ -223,28 +237,36 @@ def contrast_patterns(results: Mapping[str, MiningResult]) -> list[ContrastRow]:
     return rows
 
 
+# Every field is a fixed symbol name, a CLASS_NAMES entry or a number, so no
+# field needs csv quoting and each row is formatted directly.
+_HEADER = "pattern,support,relative_support,class\r\n"
+
+
 def write_patterns_csv(
     path: Union[str, Path],
     result: MiningResult,
     alphabet: SymbolAlphabet,
     class_name: str,
 ) -> None:
+    n = result.n_sequences
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["pattern", "support", "relative_support", "class"])
+        handle.write(_HEADER)
         for pattern in result.patterns:
-            rel = pattern.support / result.n_sequences if result.n_sequences else 0.0
-            writer.writerow([alphabet.render(pattern.symbols), pattern.support, rel, class_name])
+            support = pattern.support
+            rel = support / n if n else 0.0
+            handle.write(f"{alphabet.render(pattern.symbols)},{support},{rel!r},{class_name}\r\n")
 
 
 def write_contrast_csv(
     path: Union[str, Path], rows: Sequence[ContrastRow], alphabet: SymbolAlphabet
 ) -> None:
+    """Rows as :func:`contrast_patterns` gives them, which all name the same
+    classes; each row's classes are written in name order."""
+    names = sorted(rows[0].per_class) if rows else []
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["pattern", "support", "relative_support", "class"])
+        handle.write(_HEADER)
         for row in rows:
-            pattern = alphabet.render(row.symbols)
-            for class_name in sorted(row.per_class):
-                support, rel = row.per_class[class_name]
-                writer.writerow([pattern, support, rel, class_name])
+            text = alphabet.render(row.symbols)
+            for name in names:
+                support, rel = row.per_class[name]
+                handle.write(f"{text},{support},{rel!r},{name}\r\n")

@@ -402,10 +402,15 @@ def read_classifications(path: Union[str, Path]) -> dict[tuple[str, str], str]:
 
 def resolve_min_support(spec: float, n_sequences: int) -> int:
     """Absolute count, or a fraction of the database when spec < 1. Either
-    rounds up: a count reaches 2.5 only when it reaches 3."""
+    rounds up: a count reaches 2.5 only when it reaches 3. A fraction is
+    the decimal as written, so 0.07 of 100 sequences is 7, where the float
+    product 7.000000000000001 would round up to 8."""
     if spec >= 1:
         return math.ceil(spec)
-    return max(1, math.ceil(spec * n_sequences))
+    # Imported here: fractions pulls in decimal, which only mining needs.
+    from fractions import Fraction
+
+    return max(1, math.ceil(Fraction(repr(spec)) * n_sequences))
 
 
 def run_mining(
@@ -454,7 +459,7 @@ def run_mining(
     }
 
     # Encode every class before mining any, so the students' states are
-    # freed before the miner builds its suffix tables.
+    # freed before the miner builds its bitsets.
     sequences_by_class = {}
     alphabet = None
     for name in selected:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import itertools
 import random
 from collections import Counter
@@ -78,6 +79,8 @@ class TestPrefixSpan:
             prefixspan([], min_support=0, max_len=3)
         with pytest.raises(ValueError):
             prefixspan([], min_support=1, max_len=0)
+        with pytest.raises(ValueError):  # 255 is the layout's guard byte
+            prefixspan(seqs([0, 255]), min_support=1, max_len=3)
 
     def test_matches_brute_force_on_random_corpora(self):
         rng = random.Random(4)
@@ -294,3 +297,27 @@ class TestCsvOutput:
         lines = path.read_text().splitlines()
         assert lines[0] == "pattern,support,relative_support,class"
         assert len(lines) == 3  # one pattern, two classes
+
+    def test_files_parse_back_to_the_rows(self, tmp_path):
+        alphabet = build_alphabet(split_check_outcome=True)
+        studier = mine(seqs([0, 1, 2], [1, 2], [2, 0, 1]), min_support=1, max_len=3)
+        voyeur = mine(seqs([2, 1], [0, 3, 3]), min_support=1, max_len=3)
+        rows = contrast_patterns({"voyeur": voyeur, "studier": studier})
+        write_patterns_csv(tmp_path / "patterns.csv", studier, alphabet, class_name="studier")
+        write_contrast_csv(tmp_path / "contrast.csv", rows, alphabet)
+
+        def read(name):
+            with open(tmp_path / name, encoding="utf-8", newline="") as handle:
+                header, *body = csv.reader(handle)
+            assert header == ["pattern", "support", "relative_support", "class"]
+            return [(text, int(support), float(rel), cls) for text, support, rel, cls in body]
+
+        assert read("patterns.csv") == [
+            (alphabet.render(p.symbols), p.support, p.support / 3, "studier")
+            for p in studier.patterns
+        ]
+        assert read("contrast.csv") == [
+            (alphabet.render(row.symbols), support, rel, name)
+            for row in rows
+            for name, (support, rel) in sorted(row.per_class.items())
+        ]

@@ -205,6 +205,10 @@ class TestMinSupport:
     def test_fraction(self):
         assert resolve_min_support(0.05, 40) == 2
         assert resolve_min_support(0.05, 1) == 1
+        # The decimal as typed: the float 0.07 * 100 is 7.000000000000001.
+        assert resolve_min_support(0.07, 100) == 7
+        assert resolve_min_support(0.07, 300) == 21
+        assert resolve_min_support(0.14, 50) == 7
 
 
 class TestRunPipeline:
