@@ -9,7 +9,7 @@ categories exhibit them.
 from edxmine import classify, default_corpus_spec, generate_corpus
 from edxmine.engagement import aggregate_corpus, collect_student_events
 from edxmine.events import parse_events
-from edxmine.patterns import contrast_patterns, encode_sequences, mine
+from edxmine.patterns import contrast_patterns, encode_sequences, mine, relative_support
 
 spec = default_corpus_spec(users_per_class=15, seed=404)
 corpus = generate_corpus(spec)
@@ -19,15 +19,13 @@ aggregates = aggregate_corpus(events, spec.manifest)
 user_class = {agg.user_id: classify(agg).value for agg in aggregates}
 
 results = {}
-alphabet = None
-params = {"min_support": "20%", "max_len": 3, "granularity": "per_session"}
 for target in ("studier", "box_checker"):
     class_events = [ev for ev in events if user_class[ev.user_id] == target]
     sequences, alphabet = encode_sequences(
         collect_student_events(class_events), granularity="per_session"
     )
     min_support = max(1, round(0.2 * len(sequences)))
-    results[target] = mine(sequences, min_support, max_len=3, params=params)
+    results[target] = mine(sequences, min_support, max_len=3)
     print(f"{target}: {len(sequences)} sessions, top patterns:")
     top = sorted(results[target].patterns, key=lambda p: -p.support)[:5]
     for pattern in top:
@@ -35,8 +33,10 @@ for target in ("studier", "box_checker"):
     print()
 
 print("largest cross-class gaps:")
+names = sorted(results)
 for row in contrast_patterns(results)[:8]:
     cells = ", ".join(
-        f"{name}={rel:.2f}" for name, (_, rel) in sorted(row.per_class.items())
+        f"{name}={relative_support(support, results[name].n_sequences):.2f}"
+        for name, support in zip(names, row.supports)
     )
     print(f"  {alphabet.render(row.symbols):<50} gap={row.gap:.2f}  {cells}")

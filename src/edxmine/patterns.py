@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import timedelta
 from pathlib import Path
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .engagement import DEFAULT_PASSING_THRESHOLD, Students
 from .events import EventType, RETAINED_EVENT_TYPES
@@ -28,10 +28,6 @@ CHECK_PASS = "check_pass"
 CHECK_FAIL = "check_fail"
 # The layout byte that ends each sequence in prefixspan; no symbol code.
 _GUARD = 255
-
-
-class ParameterMismatchError(ValueError):
-    """Contrast inputs were mined with different parameters."""
 
 
 @dataclass(frozen=True)
@@ -54,12 +50,12 @@ def build_alphabet(split_check_outcome: bool = False) -> SymbolAlphabet:
     return SymbolAlphabet(names=tuple(names))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SymbolSequence:
     symbols: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SequencePattern:
     symbols: tuple[int, ...]
     support: int
@@ -180,59 +176,44 @@ def prefixspan(
 
 @dataclass(frozen=True)
 class MiningResult:
-    """One class's mining output plus the parameters that produced it."""
+    """One class's mining output."""
 
     patterns: tuple[SequencePattern, ...]
     n_sequences: int
-    params: Mapping
 
 
-def mine(
-    sequences: Sequence[SymbolSequence],
-    min_support: int,
-    max_len: int = 6,
-    params: Optional[Mapping] = None,
-) -> MiningResult:
-    patterns = prefixspan(sequences, min_support, max_len)
-    if params is None:
-        params = {"min_support": min_support, "max_len": max_len}
-    return MiningResult(
-        patterns=tuple(patterns), n_sequences=len(sequences), params=dict(params)
-    )
+def mine(sequences: Sequence[SymbolSequence], min_support: int, max_len: int = 6) -> MiningResult:
+    return MiningResult(tuple(prefixspan(sequences, min_support, max_len)), len(sequences))
 
 
-@dataclass(frozen=True)
+def relative_support(support: int, n_sequences: int) -> float:
+    return support / n_sequences if n_sequences else 0.0
+
+
+@dataclass(frozen=True, slots=True)
 class ContrastRow:
     symbols: tuple[int, ...]
     gap: float
-    per_class: Mapping  # class name -> (support, relative_support)
+    supports: tuple[int, ...]  # one per class, in sorted(results) order
 
 
 def contrast_patterns(results: Mapping[str, MiningResult]) -> list[ContrastRow]:
     """Join per-class mining results on pattern, ranked by the largest
-    cross-class relative-support gap."""
-    items = list(results.items())
-    if not items:
-        return []
-    reference = items[0][1].params
-    for name, result in items[1:]:
-        if dict(result.params) != dict(reference):
-            raise ParameterMismatchError(
-                f"mining parameters for {name!r} differ: {dict(result.params)} != {dict(reference)}"
-            )
+    cross-class relative-support gap. A class that lacks a pattern counts 0."""
+    names = sorted(results)
+    supports: dict[tuple[int, ...], list[int]] = {}
+    for i, name in enumerate(names):
+        for pattern in results[name].patterns:
+            counts = supports.get(pattern.symbols)
+            if counts is None:
+                counts = supports[pattern.symbols] = [0] * len(names)
+            counts[i] = pattern.support
 
-    all_patterns: dict[tuple[int, ...], dict[str, tuple[int, float]]] = {}
-    for name, result in items:
-        for pattern in result.patterns:
-            cell = all_patterns.setdefault(pattern.symbols, {})
-            rel = pattern.support / result.n_sequences if result.n_sequences else 0.0
-            cell[name] = (pattern.support, rel)
-
+    sizes = [results[name].n_sequences for name in names]
     rows = []
-    for symbols, cells in all_patterns.items():
-        per_class = {name: cells.get(name, (0, 0.0)) for name, _ in items}
-        rels = [rel for _, rel in per_class.values()]
-        rows.append(ContrastRow(symbols=symbols, gap=max(rels) - min(rels), per_class=per_class))
+    for symbols, counts in supports.items():
+        rels = [relative_support(support, n) for support, n in zip(counts, sizes)]
+        rows.append(ContrastRow(symbols, max(rels) - min(rels), tuple(counts)))
     rows.sort(key=lambda r: (-r.gap, len(r.symbols), r.symbols))
     return rows
 
@@ -253,20 +234,22 @@ def write_patterns_csv(
         handle.write(_HEADER)
         for pattern in result.patterns:
             support = pattern.support
-            rel = support / n if n else 0.0
+            rel = relative_support(support, n)
             handle.write(f"{alphabet.render(pattern.symbols)},{support},{rel!r},{class_name}\r\n")
 
 
 def write_contrast_csv(
-    path: Union[str, Path], rows: Sequence[ContrastRow], alphabet: SymbolAlphabet
+    path: Union[str, Path],
+    results: Mapping[str, MiningResult],
+    rows: Sequence[ContrastRow],
+    alphabet: SymbolAlphabet,
 ) -> None:
-    """Rows as :func:`contrast_patterns` gives them, which all name the same
-    classes; each row's classes are written in name order."""
-    names = sorted(rows[0].per_class) if rows else []
+    """``rows`` as :func:`contrast_patterns` gives them for ``results``;
+    each row's classes are written in name order."""
+    classes = [(name, results[name].n_sequences) for name in sorted(results)]
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(_HEADER)
         for row in rows:
             text = alphabet.render(row.symbols)
-            for name in names:
-                support, rel = row.per_class[name]
-                handle.write(f"{text},{support},{rel!r},{name}\r\n")
+            for (name, n), support in zip(classes, row.supports):
+                handle.write(f"{text},{support},{relative_support(support, n)!r},{name}\r\n")

@@ -450,18 +450,10 @@ def run_mining(
     del students
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    params = {
-        "min_support": min_support,
-        "max_len": max_len,
-        "granularity": granularity,
-        "split_check_outcome": split_check_outcome,
-        "collapse_runs": collapse_runs,
-    }
 
     # Encode every class before mining any, so the students' states are
     # freed before the miner builds its bitsets.
     sequences_by_class = {}
-    alphabet = None
     for name in selected:
         sequences_by_class[name], alphabet = encode_sequences(
             students_by_class.pop(name),
@@ -477,14 +469,14 @@ def run_mining(
     for name in selected:
         sequences = sequences_by_class.pop(name)
         support = resolve_min_support(min_support, len(sequences))
-        result = mine(sequences, support, max_len, params=params)
+        result = mine(sequences, support, max_len)
         results[name] = result
         table_path = out_dir / f"patterns_{name}.csv"
         write_patterns_csv(table_path, result, alphabet, class_name=name)
         files[f"patterns_{name}"] = table_path
 
-    if len(results) > 1 and alphabet is not None:
+    if len(results) > 1:
         contrast_path = out_dir / "contrast.csv"
-        write_contrast_csv(contrast_path, contrast_patterns(results), alphabet)
+        write_contrast_csv(contrast_path, results, contrast_patterns(results), alphabet)
         files["contrast"] = contrast_path
     return files

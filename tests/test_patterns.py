@@ -11,8 +11,8 @@ from edxmine.engagement import collect_student_events
 from edxmine.patterns import (
     CHECK_FAIL,
     CHECK_PASS,
+    ContrastRow,
     MiningResult,
-    ParameterMismatchError,
     SequencePattern,
     SymbolSequence,
     build_alphabet,
@@ -238,7 +238,6 @@ class TestContrast:
                 SequencePattern(symbols=s, support=c) for s, c in sorted(patterns.items())
             ),
             n_sequences=n,
-            params={"min_support": 1, "max_len": 3},
         )
 
     def test_identical_results_zero_gap(self):
@@ -251,8 +250,7 @@ class TestContrast:
             {"a": self._result({(0,): 2}, 4), "b": self._result({}, 4)}
         )
         assert rows[0].gap == 0.5
-        assert rows[0].per_class["a"] == (2, 0.5)
-        assert rows[0].per_class["b"] == (0, 0.0)
+        assert rows[0].supports == (2, 0)
 
     def test_gap_ranking(self):
         rows = contrast_patterns(
@@ -265,11 +263,31 @@ class TestContrast:
         assert rows[0].gap == pytest.approx(0.8)
         assert rows[1].gap == pytest.approx(0.0)
 
-    def test_parameter_mismatch(self):
-        a = self._result({(0,): 1}, 2)
-        b = MiningResult(patterns=(), n_sequences=2, params={"min_support": 2, "max_len": 3})
-        with pytest.raises(ParameterMismatchError):
-            contrast_patterns({"a": a, "b": b})
+    def test_three_classes_given_out_of_name_order(self):
+        rows = contrast_patterns(
+            {
+                "c": self._result({(0,): 3, (1,): 1}, 4),
+                "a": self._result({(0,): 1}, 2),
+                "b": self._result({(1,): 5, (2,): 2}, 10),
+            }
+        )
+        # Supports follow the names' sorted order, with 0 where a class lacks the pattern.
+        assert rows == [
+            ContrastRow(symbols=(0,), gap=0.75, supports=(1, 0, 3)),
+            ContrastRow(symbols=(1,), gap=0.5, supports=(0, 5, 1)),
+            ContrastRow(symbols=(2,), gap=0.2, supports=(0, 2, 0)),
+        ]
+
+
+def test_records_have_slots_and_no_dict():
+    records = [
+        SymbolSequence(symbols=(0, 1)),
+        SequencePattern(symbols=(0,), support=2),
+        ContrastRow(symbols=(0,), gap=0.5, supports=(2, 0)),
+    ]
+    for record in records:
+        assert type(record).__slots__
+        assert not hasattr(record, "__dict__")
 
 
 class TestCsvOutput:
@@ -291,9 +309,9 @@ class TestCsvOutput:
             collect_student_events([video_event("play_video", t=0)])
         )
         result = mine(sequences, min_support=1, max_len=2)
-        rows = contrast_patterns({"a": result, "b": result})
+        results = {"a": result, "b": result}
         path = tmp_path / "contrast.csv"
-        write_contrast_csv(path, rows, alphabet)
+        write_contrast_csv(path, results, contrast_patterns(results), alphabet)
         lines = path.read_text().splitlines()
         assert lines[0] == "pattern,support,relative_support,class"
         assert len(lines) == 3  # one pattern, two classes
@@ -302,9 +320,10 @@ class TestCsvOutput:
         alphabet = build_alphabet(split_check_outcome=True)
         studier = mine(seqs([0, 1, 2], [1, 2], [2, 0, 1]), min_support=1, max_len=3)
         voyeur = mine(seqs([2, 1], [0, 3, 3]), min_support=1, max_len=3)
-        rows = contrast_patterns({"voyeur": voyeur, "studier": studier})
+        results = {"voyeur": voyeur, "studier": studier}
+        rows = contrast_patterns(results)
         write_patterns_csv(tmp_path / "patterns.csv", studier, alphabet, class_name="studier")
-        write_contrast_csv(tmp_path / "contrast.csv", rows, alphabet)
+        write_contrast_csv(tmp_path / "contrast.csv", results, rows, alphabet)
 
         def read(name):
             with open(tmp_path / name, encoding="utf-8", newline="") as handle:
@@ -316,8 +335,9 @@ class TestCsvOutput:
             (alphabet.render(p.symbols), p.support, p.support / 3, "studier")
             for p in studier.patterns
         ]
+        sizes = {"studier": 3, "voyeur": 2}
         assert read("contrast.csv") == [
-            (alphabet.render(row.symbols), support, rel, name)
+            (alphabet.render(row.symbols), support, support / sizes[name], name)
             for row in rows
-            for name, (support, rel) in sorted(row.per_class.items())
+            for name, support in zip(["studier", "voyeur"], row.supports)
         ]
