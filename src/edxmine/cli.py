@@ -26,6 +26,7 @@ from .pipeline import (
     validate_files,
 )
 from .sessions import DEFAULT_GAP
+from .store import STORE_NAME
 from .synth import generate_corpus, load_corpus_spec, write_corpus
 
 EXIT_OK = 0
@@ -182,9 +183,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_pipeline.set_defaults(func=cmd_pipeline)
 
     p_mine = sub.add_parser("mine", help="mine frequent event sequences per class")
-    p_mine.add_argument("logs", nargs="+")
+    p_mine.add_argument("logs", nargs="+",
+                        help="the logs pipeline read; checked against its store")
     p_mine.add_argument("--out", required=True,
-                        help="pipeline output directory (needs classifications.csv)")
+                        help="pipeline output directory (needs classifications.csv and "
+                             f"{STORE_NAME})")
     p_mine.add_argument("--run-config", help="run config JSON")
     p_mine.add_argument("--class", dest="classes", default=None,
                         help="comma-separated class names (default: all)")

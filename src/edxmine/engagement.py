@@ -179,6 +179,15 @@ class StudentEvents:
         self.values = array("d")
         self._ordered = True
 
+    @classmethod
+    def from_sorted(cls, user_id: str, course_id: str, times: array, types: bytearray,
+                    content: list, sessions: list, values: array) -> "StudentEvents":
+        """A state of columns that :meth:`sort` has already put in total order."""
+        state = cls(user_id, course_id)
+        state.times, state.types, state.content, state.sessions = times, types, content, sessions
+        state.values = values
+        return state
+
     def __len__(self) -> int:
         return len(self.times)
 

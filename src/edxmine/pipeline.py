@@ -51,6 +51,7 @@ from .reports import (
     write_report,
 )
 from .sessions import DEFAULT_GAP
+from .store import STORE_NAME, log_checksums, read_store, write_store
 
 
 @dataclass(frozen=True)
@@ -181,15 +182,22 @@ def load_run_manifest(path: Union[str, Path]) -> RunManifest:
     )
 
 
+def _log_paths(paths: Sequence[Union[str, Path]]) -> list[Path]:
+    """``paths`` as paths; a missing file is an input error before any log
+    is read."""
+    paths = [Path(p) for p in paths]
+    for p in paths:
+        if not p.exists():
+            raise InputError(f"log file not found: {p}")
+    return paths
+
+
 def _events(paths: Sequence[Union[str, Path]], per_file: list) -> Iterator[Event]:
     """The retained events of many files in input order, equal ids sharing
     one string object across the files. Each file's tallies are appended to
     ``per_file`` as it is opened. A missing file is an input error before any
     log is read."""
-    paths = [Path(p) for p in paths]
-    for p in paths:
-        if not p.exists():
-            raise InputError(f"log file not found: {p}")
+    paths = _log_paths(paths)
     memo: dict[str, str] = {}
 
     def parse(path: Path) -> Iterator[Event]:
@@ -289,8 +297,13 @@ def run_pipeline(
     fmt: str = "csv",
     exclude_no_show: bool = False,
 ) -> PipelineResult:
-    """Full batch: validate/parse, aggregate, classify, emit all report tables."""
+    """Full batch: validate/parse, aggregate, classify, emit all report tables,
+    and store the states for :func:`run_mining`."""
     # Inputs are read before any output exists, so a bad input writes nothing.
+    # The checksums come first: reading while the states are alive would
+    # raise the peak RSS.
+    log_paths = _log_paths(log_paths)
+    logs = log_checksums(log_paths)
     total_stats, students, per_file = parse_log_files(log_paths)
     by_cohort, unmatched = assign_cohorts(students, run.cohorts)
     del students  # the states of students in no cohort go with it
@@ -310,7 +323,11 @@ def run_pipeline(
         key=lambda r: (r[1].course_instance, r[1].user_id),
     )
 
-    files = {}
+    # Finalize has put every state in total order.
+    files = {"states": write_store(out_dir / STORE_NAME, logs, sorted(
+        (state for students in by_cohort.values() for state in students.values()),
+        key=lambda state: (state.course_id, state.user_id),
+    ))}
 
     aggregates_path = out_dir / "aggregates.jsonl"
     with open(aggregates_path, "w", encoding="utf-8") as handle:
@@ -425,8 +442,10 @@ def run_mining(
     collapse_runs: bool = False,
 ) -> dict:
     """Per-class pattern tables plus the cross-class contrast table, written
-    to ``out_dir``, whose ``classifications.csv`` (as :func:`run_pipeline`
-    writes it) gives each student's class."""
+    to ``out_dir``, whose ``classifications.csv`` and state store (as
+    :func:`run_pipeline` writes them) give each student's class and events.
+    ``log_paths`` are not parsed: they must be the logs the store was read
+    from, by size and CRC-32, in any order."""
     if class_names:
         unknown = [n for n in class_names if n not in CLASS_NAMES]
         if unknown:
@@ -439,11 +458,16 @@ def run_mining(
 
     out_dir = Path(out_dir)
     student_classes = read_classifications(out_dir / "classifications.csv")
-    _, students, _ = parse_log_files(log_paths)
+    logs = log_checksums(_log_paths(log_paths))
+    store = out_dir / STORE_NAME
+    stored_logs, students = read_store(store)
+    if sorted(logs) != sorted(stored_logs):
+        raise InputError(f"{store}: the logs given are not the ones pipeline read into it")
     students_by_class: dict[str, dict[StudentKey, StudentEvents]] = {
         name: {} for name in selected
     }
-    for key, student in students.items():
+    for student in students:
+        key = (student.user_id, student.course_id)
         bucket = students_by_class.get(student_classes.get(key))
         if bucket is not None:
             bucket[key] = student

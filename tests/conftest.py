@@ -14,7 +14,10 @@ from edxmine.events import (
     VideoPayload,
     classify_event_type,
 )
-from edxmine.manifest import Block, BlockKind, Chapter, CourseManifest, Section, SubModule
+from edxmine.manifest import (
+    Block, BlockKind, Chapter, CourseManifest, Section, SubModule, manifest_to_dict,
+)
+from edxmine.synth import default_corpus_spec, generate_corpus, write_corpus
 
 T0 = datetime(2021, 8, 26, 0, 46, 55, 696000, tzinfo=timezone.utc)
 
@@ -230,3 +233,62 @@ def random_corpus_with_ties(rng: random.Random, n_users: int = 6) -> list[Event]
         events += rng.sample(tied, rng.randint(2, len(tied)))
     rng.shuffle(events)
     return events
+
+
+@pytest.fixture(scope="module")
+def small_corpus(tmp_path_factory):
+    """A 32-user synthetic corpus with its manifest and an on-campus run config."""
+    root = tmp_path_factory.mktemp("corpus")
+    spec = default_corpus_spec(users_per_class=4, seed=321)
+    corpus = generate_corpus(spec)
+    events_path, labels_path = write_corpus(corpus, root)
+    manifest_path = root / "manifest.json"
+    manifest_path.write_text(json.dumps(manifest_to_dict(spec.manifest)))
+    run_config = root / "run.json"
+    run_config.write_text(
+        json.dumps(
+            {
+                "manifest": "manifest.json",
+                "cohorts": [
+                    {"pattern": "SYN", "modality": "on_campus", "term": "Fall 2021"}
+                ],
+                "anchors": {"on_campus:Fall 2021": "2021-08-23"},
+            }
+        )
+    )
+    return {
+        "spec": spec,
+        "corpus": corpus,
+        "events": events_path,
+        "labels": labels_path,
+        "manifest": manifest_path,
+        "run_config": run_config,
+    }
+
+
+def tied_lines(corpus: dict):
+    """A builder of raw lines for ``corpus``'s course, all in one millisecond,
+    with a video id, a graded problem id and a half-marks payload for it."""
+    manifest = corpus["spec"].manifest
+    blocks = [b for _, b in manifest.iter_blocks()]
+
+    def tied(name, user, event, org="SYN"):
+        return raw_line(name, user=user, course=manifest.course_id, org=org,
+                        session=f"{user}-s", time="2021-09-01T10:00:00.500Z", event=event)
+
+    tied.video = next(b.block_id for b in blocks if b.kind is BlockKind.VIDEO)
+    tied.problem = next(b.block_id for b in blocks if b.kind is BlockKind.GRADED_PROBLEM)
+    tied.graded = {"problem_id": tied.problem, "grade": 1, "max_grade": 2}
+    return tied
+
+
+def tie_pairs(corpus: dict) -> list[tuple[str, str]]:
+    """Pairs of events in one millisecond: a play and a pause for three
+    users, and two loads that differ only in org_id."""
+    tied = tied_lines(corpus)
+    event = {"id": tied.video, "currentTime": 3.0, "duration": 60.0}
+    pairs = [(tied("play_video", u, event), tied("pause_video", u, event))
+             for u in ("tie-1", "tie-2", "tie-3")]
+    pairs.append((tied("load_video", "tie-1", event, "GTX"),
+                  tied("load_video", "tie-1", event, "MITx")))
+    return pairs

@@ -17,7 +17,7 @@ import pytest
 import edxmine
 from edxmine.cli import main
 from edxmine.engagement import collect_student_events
-from edxmine.manifest import BlockKind, manifest_to_dict
+from edxmine.manifest import manifest_to_dict
 from edxmine.patterns import encode_sequences
 from edxmine.pipeline import (
     CohortRule,
@@ -33,66 +33,15 @@ from edxmine.pipeline import (
     run_pipeline,
 )
 from edxmine.reports import CohortId
-from edxmine.synth import corpus_spec_to_dict, default_corpus_spec, generate_corpus, write_corpus
-from conftest import bare_event, raw_line
+from edxmine.store import STORE_NAME
+from edxmine.synth import corpus_spec_to_dict, default_corpus_spec
+from conftest import bare_event, raw_line, tie_pairs, tied_lines
 
 
-@pytest.fixture(scope="module")
-def small_corpus(tmp_path_factory):
-    root = tmp_path_factory.mktemp("corpus")
-    spec = default_corpus_spec(users_per_class=4, seed=321)
-    corpus = generate_corpus(spec)
-    events_path, labels_path = write_corpus(corpus, root)
-    manifest_path = root / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest_to_dict(spec.manifest)))
-    run_config = root / "run.json"
-    run_config.write_text(
-        json.dumps(
-            {
-                "manifest": "manifest.json",
-                "cohorts": [
-                    {"pattern": "SYN", "modality": "on_campus", "term": "Fall 2021"}
-                ],
-                "anchors": {"on_campus:Fall 2021": "2021-08-23"},
-            }
-        )
-    )
-    return {
-        "spec": spec,
-        "corpus": corpus,
-        "events": events_path,
-        "labels": labels_path,
-        "manifest": manifest_path,
-        "run_config": run_config,
-    }
-
-
-def _tied_lines(corpus: dict):
-    """A builder of raw lines for ``corpus``'s course, all in one millisecond,
-    with a video id, a graded problem id and a half-marks payload for it."""
-    manifest = corpus["spec"].manifest
-    blocks = [b for _, b in manifest.iter_blocks()]
-
-    def tied(name, user, event, org="SYN"):
-        return raw_line(name, user=user, course=manifest.course_id, org=org,
-                        session=f"{user}-s", time="2021-09-01T10:00:00.500Z", event=event)
-
-    tied.video = next(b.block_id for b in blocks if b.kind is BlockKind.VIDEO)
-    tied.problem = next(b.block_id for b in blocks if b.kind is BlockKind.GRADED_PROBLEM)
-    tied.graded = {"problem_id": tied.problem, "grade": 1, "max_grade": 2}
-    return tied
-
-
-def _tie_pairs(corpus: dict) -> list[tuple[str, str]]:
-    """Pairs of events in one millisecond: a play and a pause for three
-    users, and two loads that differ only in org_id."""
-    tied = _tied_lines(corpus)
-    event = {"id": tied.video, "currentTime": 3.0, "duration": 60.0}
-    pairs = [(tied("play_video", u, event), tied("pause_video", u, event))
-             for u in ("tie-1", "tie-2", "tie-3")]
-    pairs.append((tied("load_video", "tie-1", event, "GTX"),
-                  tied("load_video", "tie-1", event, "MITx")))
-    return pairs
+def _store_body(store: bytes) -> bytes:
+    """A state store's bytes after its log list and before its CRC."""
+    n_logs = int.from_bytes(store[12:16], "little")
+    return store[16 + 12 * n_logs:-4]
 
 
 class TestRunManifestLoading:
@@ -250,7 +199,7 @@ class TestRunPipeline:
     def test_shards_give_same_bytes_as_whole_log(self, small_corpus, tmp_path):
         run = load_run_manifest(small_corpus["run_config"])
         # The whole log holds each tied pair in one order, the shards in the other.
-        pairs = _tie_pairs(small_corpus)
+        pairs = tie_pairs(small_corpus)
         firsts, seconds = (list(side) for side in zip(*pairs))
         # Alternate lines, read in the other order: no event keeps its place.
         lines = small_corpus["events"].read_text().splitlines()
@@ -267,8 +216,12 @@ class TestRunPipeline:
             files = run_pipeline(run, logs, out).files
             files.update(run_mining(run, logs, out, max_len=3))
             outputs[name] = files
-        # run_meta.json tallies each input file, so its per_file_stats differ.
+        # run_meta.json tallies each input file, so its per_file_stats differ,
+        # and the state store checksums each, so its log lists differ.
         del outputs["whole"]["run_meta"]
+        whole, shards = (_store_body(files["states"].read_bytes()) for files in outputs.values())
+        assert whole == shards
+        del outputs["whole"]["states"]
         assert set(outputs["whole"]) < set(outputs["shards"])
         for name, path in outputs["whole"].items():
             assert path.read_bytes() == outputs["shards"][name].read_bytes(), name
@@ -279,7 +232,7 @@ class TestRunPipeline:
         # an ungraded check with an attempt counter tied with a graded one,
         # and the same two checks from two organizations.
         run = load_run_manifest(small_corpus["run_config"])
-        tied = _tied_lines(small_corpus)
+        tied = tied_lines(small_corpus)
         outputs = {}
         for flip in (False, True):
             first, second = ("AAA", "ZZZ") if flip else ("ZZZ", "AAA")
@@ -301,6 +254,8 @@ class TestRunPipeline:
             files.update(run_mining(run, [log], out, max_len=3, min_support=1,
                                     split_check_outcome=True))
             outputs[flip] = {name: path.read_bytes() for name, path in files.items()}
+            # The state store checksums the log, which differs; its states may not.
+            outputs[flip]["states"] = _store_body(outputs[flip]["states"])
         assert outputs[False] == outputs[True]
 
         # A tie is ordered by the canonical form without the unread fields:
@@ -313,7 +268,7 @@ class TestRunPipeline:
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_outputs_are_strict_json_and_whole_csv_rows(self, small_corpus, tmp_path, fmt):
         run = load_run_manifest(small_corpus["run_config"])
-        tied = _tied_lines(small_corpus)
+        tied = tied_lines(small_corpus)
         non_finite = ["NaN", "Infinity", "-Infinity", "1e400", '"NaN"', '"Infinity"']
         added = []
         for i, value in enumerate(non_finite):
@@ -336,8 +291,12 @@ class TestRunPipeline:
             raise ValueError(f"non-standard JSON constant {constant}")
 
         written = sorted(out.iterdir())
-        assert len(written) == 17  # 8 from pipeline; from mine, 8 class tables and the contrast
+        # 9 from pipeline, the binary state store among them; from mine, 8
+        # class tables and the contrast
+        assert len(written) == 18
         for path in written:
+            if path.name == STORE_NAME:
+                continue
             text = path.read_text(encoding="utf-8")
             if path.suffix == ".json":
                 json.loads(text, parse_constant=reject)
@@ -504,7 +463,8 @@ class TestMining:
 
 
 # Logs, pipeline flags and mine flag sets of the golden-bytes cases. Each
-# mine run reads the pipeline's classifications in a directory of its own.
+# mine run reads the pipeline's classifications and state store in a
+# directory of its own.
 _GOLDEN_CASES = {
     "csv": ("corpus", [], [["--per-session"], ["--per-user", "--split-check-outcome", "--collapse-runs"]]),
     "jsonl": ("corpus", ["--format", "jsonl"], []),
@@ -541,6 +501,7 @@ _GOLDEN_DIGESTS = {
         "out/run_meta.json": "37dbcc65be3e1d2a58d1d4830099dabc356c05944612927e56da9766fae6b66a",
         "out/score_comparison.csv": "5b3bcc21af2911102734922c5b39b278bc0df62937a18e6a328de46964506548",
         "out/scorer_distribution.csv": "b693a9fb4b8fbde53fda365bbe8ab5cac482d3d6deaac134a9f1028d617b7f8b",
+        "out/states.bin": "7413f583a76ce28fc88b3071f7675c448c88374c1a736f54e346d737098b4247",
         "out/weekly.csv": "fe17a55614ebaf735f2929676fa486b9058185ad6b64592703a887cade62319c",
     },
     "empty": {
@@ -560,6 +521,7 @@ _GOLDEN_DIGESTS = {
         "out/run_meta.json": "e60a5af09f141c3d6e03f1c68a20f5c696bf52fbb1578f26a87e577596b08d13",
         "out/score_comparison.csv": "b747a0c2481334cbcaa163bd95fc9117f23b65008aa779be3aca2d6d08f24fa0",
         "out/scorer_distribution.csv": "b747a0c2481334cbcaa163bd95fc9117f23b65008aa779be3aca2d6d08f24fa0",
+        "out/states.bin": "04ce4654e74e646902d03187e235b0aa510f9ae4cdd3774dd20ed0c95aecbc80",
         "out/weekly.csv": "06e1d48085c26294f4b008cad2e25b6cefbecbc32ee9cfff57b42dfa883503ea",
     },
     "exclude-no-show": {
@@ -570,6 +532,7 @@ _GOLDEN_DIGESTS = {
         "out/run_meta.json": "4481b0f234216756b3e58db7149114475dcfd1b7d64e4dd7848e59d99ec32b71",
         "out/score_comparison.csv": "5b3bcc21af2911102734922c5b39b278bc0df62937a18e6a328de46964506548",
         "out/scorer_distribution.csv": "b693a9fb4b8fbde53fda365bbe8ab5cac482d3d6deaac134a9f1028d617b7f8b",
+        "out/states.bin": "7413f583a76ce28fc88b3071f7675c448c88374c1a736f54e346d737098b4247",
         "out/weekly.csv": "fe17a55614ebaf735f2929676fa486b9058185ad6b64592703a887cade62319c",
     },
     "jsonl": {
@@ -580,6 +543,7 @@ _GOLDEN_DIGESTS = {
         "out/run_meta.json": "852c0eaf64fd206d07a4e517c3bfe940e945f632bf4688d48a8bfa6f2dcbf895",
         "out/score_comparison.jsonl": "d6402267c155e0a37c57202e7d1d0d5d8d02d5ad5a03824de7ee4f04de75f6fa",
         "out/scorer_distribution.jsonl": "17d60d7eed38c1302c72ac5a810475ed5584676ca25190ad20579fb4cfefecae",
+        "out/states.bin": "7413f583a76ce28fc88b3071f7675c448c88374c1a736f54e346d737098b4247",
         "out/weekly.jsonl": "8ad9b1bf484939b61da66b9a80fb7de020154c96cc13d01219b8e0a44da6bbe5",
     },
     "ties": {
@@ -608,6 +572,7 @@ _GOLDEN_DIGESTS = {
         "out/run_meta.json": "a28de94d4c81697018c02863523bef4d9753c0719df6ca2fc86c978b644ec3fc",
         "out/score_comparison.csv": "5b3bcc21af2911102734922c5b39b278bc0df62937a18e6a328de46964506548",
         "out/scorer_distribution.csv": "b693a9fb4b8fbde53fda365bbe8ab5cac482d3d6deaac134a9f1028d617b7f8b",
+        "out/states.bin": "046ceaf25ae78b282a2489671712405d78111d104958aca4ad4b80bad25e3b8e",
         "out/weekly.csv": "855f54c53dd0d38f821404afdc1b6c4ee1bfecc084611896a08dde4e37dcc190",
     },
 }
@@ -619,7 +584,7 @@ class TestGoldenBytes:
         log_kind, pipeline_flags, mine_runs = _GOLDEN_CASES[case]
         lines = [] if log_kind == "empty" else list(small_corpus["corpus"].lines)
         if log_kind == "ties":
-            lines += [line for pair in _tie_pairs(small_corpus) for line in pair]
+            lines += [line for pair in tie_pairs(small_corpus) for line in pair]
         # Relative paths, because run_meta.json names each log as given.
         monkeypatch.chdir(tmp_path)
         Path("events.log").write_text("".join(line + "\n" for line in lines))
@@ -630,9 +595,11 @@ class TestGoldenBytes:
         for i, mine_flags in enumerate(mine_runs):
             out = Path(f"mine-{i}")
             out.mkdir()
-            shutil.copy(Path("out") / "classifications.csv", out)
+            for name in ("classifications.csv", STORE_NAME):
+                shutil.copy(Path("out") / name, out)
             assert main(["mine", *args, "--out", str(out), "--max-len", "4", *mine_flags]) == 0
-            written += [path for path in out.iterdir() if path.name != "classifications.csv"]
+            written += [path for path in out.iterdir()
+                        if path.name not in ("classifications.csv", STORE_NAME)]
         digests = {
             path.as_posix(): hashlib.sha256(path.read_bytes()).hexdigest() for path in written
         }
@@ -923,7 +890,9 @@ class TestCli:
         layers = [name for name, _, _ in spans.LAYER_METRICS
                   if not name.startswith(("setup.", "cli."))]
         assert [name for name in layers if name not in values] == []
-        assert values["events.retained"] == len(small_corpus["corpus"].lines) * 3
+        # validate and pipeline parse the log; mine reads the state store.
+        assert values["events.retained"] == len(small_corpus["corpus"].lines) * 2
+        assert traces[2]["counters"].get("events.lines_read", 0) == 0
 
     def test_pipeline_bad_config_writes_nothing(self, small_corpus, tmp_path, capsys):
         bad = tmp_path / "run.json"
@@ -989,6 +958,8 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["validate", "pipeline", "mine"])
     def test_truncated_gzip_exits_two(self, small_corpus, tmp_path, capsys, command):
+        """validate and pipeline decode the log and name it; mine only
+        checksums it, and exits 2 naming the state store it lacks."""
         gz = tmp_path / "events.log.gz"
         data = gzip.compress(small_corpus["events"].read_bytes())
         gz.write_bytes(data[: len(data) // 2])
@@ -1003,7 +974,8 @@ class TestCli:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"edxmine: error: {gz}: ")
+        named = out / STORE_NAME if command == "mine" else gz
+        assert captured.err.startswith(f"edxmine: error: {named}: ")
         assert len(captured.err.splitlines()) == 1
         assert "Traceback" not in captured.err
         assert sorted(out.glob("*")) == before
