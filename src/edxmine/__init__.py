@@ -36,7 +36,7 @@ from .manifest import (
 )
 from .patterns import encode_sequences, mine, prefixspan
 from .pipeline import RunManifest, run_pipeline
-from .sessions import build_sessions, week_index, weekly_presence
+from .sessions import build_sessions, weekly_presence
 from .synth import CorpusSpec, PersonaSpec, default_corpus_spec, generate_corpus
 
 __version__ = "0.1.0"
@@ -77,6 +77,5 @@ __all__ = [
     "reconstruct_intervals",
     "run_pipeline",
     "score_r",
-    "week_index",
     "weekly_presence",
 ]

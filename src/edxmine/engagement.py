@@ -55,7 +55,7 @@ class WatchRecord:
 @dataclass(frozen=True)
 class ProblemRecord:
     problem_id: str
-    attempts: tuple[tuple[datetime, Optional[float]], ...]
+    attempts: tuple[tuple[int, Optional[float]], ...]  # (microseconds since the epoch, score)
     first_score: Optional[float]
     final_score: Optional[float]
     n_attempts: int
@@ -338,12 +338,12 @@ class StudentEvents:
         neither is ``problem_graded``.
         """
         problem_id = ""
-        attempts: list[tuple[datetime, Optional[float]]] = []
+        attempts: list[tuple[int, Optional[float]]] = []
         for row in rows:
             if not problem_id and self.types[row] not in _VIDEO_CODES:
                 problem_id = self.content[row] or ""
             if self.types[row] in _ATTEMPT_CODES:
-                attempts.append((as_datetime(self.times[row]), self.check_score(row)))
+                attempts.append((self.times[row], self.check_score(row)))
 
         scored = [s for _, s in attempts if s is not None]
         first_score = scored[0] if scored else None
@@ -371,14 +371,14 @@ class StudentEvents:
         visited sorted, so merge order never changes the output.
         """
         self.sort()
-        first_plays: dict[str, datetime] = {}  # played video id -> its first play
+        first_plays: dict[str, int] = {}  # played video id -> its first play's microseconds
         fractions: list[float] = []
         videos, problems = self._streams()
         for vid in sorted(videos):
             rows = videos[vid]
             first = next((row for row in rows if self.types[row] == _PLAY), None)
             if first is not None:
-                first_plays[vid] = as_datetime(self.times[first])
+                first_plays[vid] = self.times[first]
             fraction = self.watch_record(rows).watch_fraction
             if fraction is not None:
                 fractions.append(fraction)
@@ -414,13 +414,13 @@ class StudentEvents:
 def _order_fraction(
     manifest: Optional[CourseManifest],
     attempted: dict[str, ProblemRecord],
-    first_plays: dict[str, datetime],
+    first_plays: dict[str, int],
 ) -> Optional[float]:
-    """Share of placeable attempted problems first tried after a video play
-    in the same manifest section."""
+    """Share of placeable attempted problems first tried strictly after a
+    video play in the same manifest section."""
     if manifest is None or not attempted:
         return None
-    earliest_play: dict[tuple[int, int, int], datetime] = {}
+    earliest_play: dict[tuple[int, int, int], int] = {}
     for vid, first in first_plays.items():
         section = manifest.section_of(vid)
         if section is not None and (section not in earliest_play or first < earliest_play[section]):

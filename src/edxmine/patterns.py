@@ -148,28 +148,35 @@ def prefixspan(
     bits = {code: bitmap(code) for code in sorted(set(layout) - {_GUARD})}
     found: list[SequencePattern] = []
 
-    def grow(after: int, prefix: tuple[int, ...], candidates: list[int]) -> None:
-        # ``after`` marks the positions past the first end of ``prefix`` in
-        # each sequence. Subtracting ``low`` borrows up to each block's lowest
-        # set bit and no further, as the guards are set, so a guard survives
-        # exactly when its block holds a set bit.
+    # Depth-first growth on an explicit stack, so a pattern may be longer
+    # than the interpreter's recursion limit. Each entry is a pattern, the
+    # bitmap of where its occurrences can end (unread for the empty
+    # pattern, which extends anywhere), and the symbols that may extend it.
+    stack: list[tuple[int, tuple[int, ...], list[int]]] = [(0, (), list(bits))]
+    while stack:
+        ends, prefix, candidates = stack.pop()
+        g = ends | guard  # g ^ (g - low): each block's bits up to its first end
+        # The positions past the first end of ``prefix`` in each sequence.
+        after = data & ~(g ^ (g - low)) if prefix else data
+        # prefix + (t, sym) is frequent only if prefix + (sym,) is, so the
+        # extensions found here share one list of this level's frequent symbols.
+        symbols: list[int] = []
         frequent = []
         for sym in candidates:
-            ends = after & bits[sym]
-            support = (((ends | guard) - low) & guard).bit_count()
+            sym_ends = after & bits[sym]
+            # Subtracting ``low`` borrows up to each block's lowest set bit and
+            # no further, as the guards are set, so a guard survives exactly
+            # when its block holds a set bit.
+            support = (((sym_ends | guard) - low) & guard).bit_count()
             if support >= min_support:
                 pattern = prefix + (sym,)
-                frequent.append((pattern, ends))
                 found.append(SequencePattern(symbols=pattern, support=support))
-        if len(prefix) + 1 == max_len:
-            return
-        # prefix + (t, sym) is frequent only if prefix + (sym,) is.
-        symbols = [pattern[-1] for pattern, _ in frequent]
-        for pattern, ends in frequent:
-            g = ends | guard  # g ^ (g - low): each block's bits up to its first end
-            grow(data & ~(g ^ (g - low)), pattern, symbols)
-
-    grow(data, (), list(bits))
+                symbols.append(sym)
+                frequent.append((sym_ends, pattern, symbols))
+        if len(prefix) + 1 < max_len:
+            # Popped in symbol order, so ``found`` grows as a recursive descent
+            # would grow it.
+            stack.extend(reversed(frequent))
     found.sort(key=lambda p: (len(p.symbols), p.symbols))
     return found
 

@@ -6,7 +6,6 @@ without one fall back to inactivity-gap splitting (default 30 minutes).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 
@@ -14,10 +13,7 @@ from .engagement import MICROSECOND, StudentEvents, Students, as_datetime
 
 DEFAULT_GAP = timedelta(minutes=30)
 _DAY = timedelta(days=1) // MICROSECOND
-
-
-class BeforeAnchorError(ValueError):
-    """Timestamp precedes the week anchor."""
+_WEEK = 7 * _DAY
 
 
 @dataclass(frozen=True)
@@ -81,14 +77,6 @@ def build_sessions(student: StudentEvents, gap: timedelta = DEFAULT_GAP) -> list
     ]
 
 
-def week_index(timestamp: datetime, anchor: date) -> int:
-    """Zero-based week bucket: floor of whole days since ``anchor`` over 7."""
-    days = (timestamp.date() - anchor).days
-    if days < 0:
-        raise BeforeAnchorError(f"{timestamp.isoformat()} precedes anchor {anchor}")
-    return days // 7
-
-
 @dataclass
 class WeeklyPresence:
     weeks: list[WeekActivity]
@@ -99,19 +87,21 @@ def weekly_presence(students: Students, anchor: date) -> WeeklyPresence:
     """Per-week new and returning student counts, a student being one (user,
     course) pair, from ``collect_student_events``' states.
 
-    A student is new in the week of their earliest in-range event and
-    returning in every later week they are active. Events before the anchor
-    are dropped and counted, never fatal.
+    An event's week is the floor of whole UTC days from ``anchor`` to its
+    day, over 7. A student is new in the week of their earliest in-range
+    event and returning in every later week they are active. Events before
+    the anchor are dropped and counted, never fatal.
     """
+    start = (anchor - date(1970, 1, 1)).days * _DAY  # the anchor's first microsecond
     active_weeks: list[set[int]] = []
     dropped = 0
     for student in students.values():
         weeks = set()
-        for day, events in Counter(micros // _DAY for micros in student.times).items():
-            try:
-                weeks.add(week_index(as_datetime(day * _DAY), anchor))
-            except BeforeAnchorError:
-                dropped += events
+        for micros in student.times:
+            if micros < start:
+                dropped += 1
+            else:
+                weeks.add((micros - start) // _WEEK)
         if weeks:
             active_weeks.append(weeks)
 

@@ -4,6 +4,7 @@ import random
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from datetime import datetime, timedelta, timezone
 from itertools import chain
 
 import pytest
@@ -350,6 +351,16 @@ class TestProblemHistory:
         events = [problem_event("problem_check", t=0, grade=3, max_grade=4)]
         assert problem_history(events).final_score == 0.75
 
+    def test_attempt_times_are_epoch_microseconds(self):
+        events = [
+            problem_event("problem_check_fail", t=0),
+            problem_event("problem_show", t=5),
+            problem_event("problem_check", t=10.5, grade=1, max_grade=1),
+        ]
+        epoch = datetime(1970, 1, 1, tzinfo=timezone.utc)
+        micros = [(at(t) - epoch) // timedelta(microseconds=1) for t in (0, 10.5)]
+        assert problem_history(events).attempts == ((micros[0], 0.0), (micros[1], 1.0))
+
     def test_first_final_bounds_and_provenance(self):
         rng = random.Random(55)
         for _ in range(100):
@@ -451,6 +462,16 @@ SECTION_MANIFEST = {
     ],
 }
 
+# One section whose second video is the one played first in the tests.
+TWO_VIDEO_MANIFEST = {
+    "course_id": "c1",
+    "submodules": [{"name": "m", "chapters": [{"name": "ch", "sections": [{"name": "s0", "blocks": [
+        {"block_id": "v1", "kind": "video"},
+        {"block_id": "v2", "kind": "video"},
+        {"block_id": "p1", "kind": "graded_problem"},
+    ]}]}]}],
+}
+
 
 class TestAggregateStudent:
     def test_zero_events(self):
@@ -527,6 +548,23 @@ class TestAggregateStudent:
         ]
         agg = aggregate_student(events, manifest=manifest)
         assert agg.order_fraction == 0.5
+
+    def test_order_fraction_play_in_the_same_millisecond_is_not_first(self):
+        manifest = parse_manifest(SECTION_MANIFEST)
+        events = [
+            video_event("play_video", video="v1", t=0, current_time=0, duration=60),
+            problem_event("problem_check", problem="p1", t=0, grade=1, max_grade=1),
+        ]
+        assert aggregate_student(events, manifest=manifest).order_fraction == 0.0
+
+    def test_order_fraction_earliest_play_from_the_second_video(self):
+        manifest = parse_manifest(TWO_VIDEO_MANIFEST)
+        events = [
+            video_event("play_video", video="v2", t=0, current_time=0, duration=60),
+            problem_event("problem_check", problem="p1", t=50, grade=1, max_grade=1),
+            video_event("play_video", video="v1", t=100, current_time=0, duration=60),
+        ]
+        assert aggregate_student(events, manifest=manifest).order_fraction == 1.0
 
     def test_order_fraction_absent_without_manifest(self):
         events = [problem_event("problem_check", t=0, grade=1, max_grade=1)]

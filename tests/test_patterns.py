@@ -69,6 +69,12 @@ class TestPrefixSpan:
         result = prefixspan(seqs([a, b]), min_support=1, max_len=2)
         assert {p.symbols: p.support for p in result} == {(a,): 1, (b,): 1, (a, b): 1}
 
+    def test_pattern_longer_than_the_recursion_limit(self):
+        # Each run of one symbol is a pattern, and the longest run here is
+        # longer than the interpreter's default recursion limit of 1,000.
+        result = prefixspan(seqs([0] * 1500), min_support=1, max_len=2000)
+        assert [(p.symbols, p.support) for p in result] == [((0,) * k, 1) for k in range(1, 1501)]
+
     def test_max_len_bounds_output(self):
         a = 0
         result = prefixspan(seqs([a, a, a, a]), min_support=1, max_len=2)

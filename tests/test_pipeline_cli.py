@@ -607,6 +607,23 @@ class TestGoldenBytes:
 
 
 class TestCli:
+    def test_mine_finds_a_pattern_longer_than_the_recursion_limit(self, tmp_path):
+        # One student's 1,500 problem shows: one per-user sequence, whose
+        # longest pattern outgrows the interpreter's default recursion limit.
+        log = tmp_path / "events.log"
+        log.write_text("".join(
+            raw_line("problem_show", time=f"2021-08-26T00:{i // 60:02d}:{i % 60:02d}.000Z",
+                     event={"problem_id": "p1"}) + "\n"
+            for i in range(1500)
+        ))
+        out = tmp_path / "out"
+        assert main(["pipeline", str(log), "--out", str(out)]) == 0
+        assert main(["mine", str(log), "--out", str(out), "--per-user", "--min-support", "1",
+                     "--max-len", "2000", "--class", "no_show"]) == 0
+        lines = (out / "patterns_no_show.csv").read_text().splitlines()
+        assert len(lines) == 1501
+        assert lines[-1] == ">".join(["problem_show"] * 1500) + ",1,1.0,no_show"
+
     def test_validate(self, tmp_path, capsys):
         log = tmp_path / "events.log"
         log.write_text("\n".join(raw_line(user=f"u{i}") for i in range(100)) + "\n")

@@ -1,18 +1,11 @@
 from __future__ import annotations
 
 import random
-from datetime import date, timedelta
-
-import pytest
+from dataclasses import replace
+from datetime import date, datetime, time, timedelta, timezone
 
 from edxmine.engagement import StudentEvents, collect_student_events
-from edxmine.sessions import (
-    BeforeAnchorError,
-    build_sessions,
-    group_into_sessions,
-    week_index,
-    weekly_presence,
-)
+from edxmine.sessions import build_sessions, group_into_sessions, weekly_presence
 from conftest import at, bare_event
 
 ANCHOR = date(2021, 8, 23)
@@ -90,19 +83,67 @@ class TestBuildSessions:
         assert [key for key, _ in groups] == ["u1~0", "u1~1"]
 
 
+def one_event_weeks(seconds: float, anchor: date) -> tuple[list[tuple[int, int, int]], int]:
+    """``weekly_presence``'s rows and dropped count for one student's one
+    event, ``seconds`` after ``at(0)``."""
+    presence = weekly_presence(collect_student_events([bare_event("problem_show", t=seconds)]), anchor)
+    rows = [(w.week_index, w.new_users, w.returning_users) for w in presence.weeks]
+    return rows, presence.dropped_before_anchor
+
+
 class TestWeekIndex:
+    """The week rule: the floor of whole days from the anchor over 7."""
+
     def test_anchor_day(self):
-        assert week_index(at(0), date(2021, 8, 26)) == 0
+        assert one_event_weeks(0, date(2021, 8, 26)) == ([(0, 1, 0)], 0)
 
     def test_thirteen_days(self):
-        assert week_index(at(13 * 86400), date(2021, 8, 26)) == 1
+        assert one_event_weeks(13 * 86400, date(2021, 8, 26)) == ([(0, 0, 0), (1, 1, 0)], 0)
 
     def test_fourteen_days(self):
-        assert week_index(at(14 * 86400), date(2021, 8, 26)) == 2
+        assert one_event_weeks(14 * 86400, date(2021, 8, 26)) == (
+            [(0, 0, 0), (1, 0, 0), (2, 1, 0)], 0
+        )
 
     def test_before_anchor(self):
-        with pytest.raises(BeforeAnchorError):
-            week_index(at(0), date(2021, 8, 27))
+        assert one_event_weeks(0, date(2021, 8, 27)) == ([], 1)
+
+    def test_matches_the_date_rule(self):
+        # Anchors on both sides of 1970, so event times below 0 microseconds
+        # occur, and events within 60 days of the anchor: the table holds a
+        # row for every week up to the latest event.
+        rng = random.Random(21)
+        day = timedelta(days=1)
+        epoch = date(1970, 1, 1).toordinal()
+        for case in range(300):
+            side = -1 if case % 2 else 1
+            anchor = date.fromordinal(epoch + side * rng.randint(0, 200 * 366))
+            midnight = datetime.combine(anchor, time(), timezone.utc)
+            stamps = {}
+            for _ in range(rng.randint(1, 30)):
+                days = rng.randint(-60, 60)
+                offset = rng.choice([
+                    days * day,  # a midnight
+                    days * day - timedelta(microseconds=1),  # the microsecond before one
+                    days * day + timedelta(microseconds=rng.randrange(86400 * 10**6)),
+                ])
+                stamps.setdefault(f"u{rng.randint(0, 4)}", []).append(midnight + offset)
+            events = [replace(bare_event("problem_show", user=user), timestamp=ts)
+                      for user, times in stamps.items() for ts in times]
+
+            user_weeks = [{(ts.date() - anchor).days // 7 for ts in times if ts.date() >= anchor}
+                          for times in stamps.values()]
+            user_weeks = [weeks for weeks in user_weeks if weeks]
+            n_weeks = max((max(weeks) for weeks in user_weeks), default=-1) + 1
+            new = [sum(min(weeks) == week for weeks in user_weeks) for week in range(n_weeks)]
+            active = [sum(week in weeks for weeks in user_weeks) for week in range(n_weeks)]
+            dropped = sum(ts.date() < anchor for times in stamps.values() for ts in times)
+
+            presence = weekly_presence(collect_student_events(events), anchor)
+            assert presence.dropped_before_anchor == dropped, anchor
+            assert [(w.week_index, w.new_users, w.returning_users) for w in presence.weeks] == [
+                (week, new[week], active[week] - new[week]) for week in range(n_weeks)
+            ], anchor
 
 
 class TestWeeklyPresence:
