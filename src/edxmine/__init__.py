@@ -25,6 +25,7 @@ from .events import (
     Malformed,
     ParseStats,
     classify_event_type,
+    event_of,
     iter_events,
     parse_line,
 )
@@ -67,6 +68,7 @@ __all__ = [
     "content_counts",
     "default_corpus_spec",
     "encode_sequences",
+    "event_of",
     "generate_corpus",
     "iter_events",
     "load_manifest",

@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import enum
 import gzip
+import io
 import json
 import math
 import re
 import zlib
 from dataclasses import asdict, astuple, dataclass
 from datetime import datetime, timezone
+from itertools import repeat
 from json.scanner import make_scanner
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Optional, Union
@@ -133,15 +135,16 @@ class ParseStats:
     filtered_out: int = 0
 
     def record(self, outcome: ParseOutcome) -> None:
-        self.lines_read += 1
-        if isinstance(outcome, Malformed):
-            self.malformed += 1
-        elif isinstance(outcome, FilteredOut):
-            self.parsed += 1
-            self.filtered_out += 1
-        else:
-            self.parsed += 1
-            self.retained += 1
+        self.add(1, isinstance(outcome, Malformed), isinstance(outcome, FilteredOut))
+
+    def add(self, lines: int, malformed: int, filtered_out: int) -> None:
+        """Tally ``lines`` lines: ``malformed`` malformed, ``filtered_out``
+        filtered out and the rest retained."""
+        self.lines_read += lines
+        self.parsed += lines - malformed
+        self.retained += lines - malformed - filtered_out
+        self.malformed += malformed
+        self.filtered_out += filtered_out
 
     def merge(self, other: "ParseStats") -> "ParseStats":
         return ParseStats(*(a + b for a, b in zip(astuple(self), astuple(other))))
@@ -293,17 +296,6 @@ _detect_encoding = json.detect_encoding
 _NO_CONTEXT: dict = {}
 
 
-def _loads(text: str):
-    """``json.loads(text)`` without its wrappers. Raises ValueError or
-    RecursionError as it does, and StopIteration when no value starts the
-    text."""
-    text = text.strip(_JSON_SPACE)
-    value, end = _scan(text, 0)
-    if end != len(text):
-        raise ValueError("extra data")
-    return value
-
-
 # The outcomes are frozen, so one instance per reason serves every line.
 _INVALID_JSON = Malformed("invalid json")
 _NOT_AN_OBJECT = Malformed("not an object")
@@ -315,18 +307,13 @@ _OTHER_EVENT_TYPE = FilteredOut("event_type")
 _OTHER_SOURCE = FilteredOut("source")
 
 
-def parse_line(text: Union[str, bytes], memo: Optional[dict] = None) -> ParseOutcome:
-    """Parse one raw log line.
+#: A retained line's type, user id, course id, timestamp and decoded object.
+Head = tuple[EventType, str, str, datetime, dict]
 
-    Returns an :class:`Event` iff the line is valid JSON, names a retained
-    event type, comes from the browser, and carries non-empty user and
-    course identifiers that UTF-8 can encode plus a parseable timestamp.
-    Deterministic: the same byte line always yields the same outcome.
 
-    The event's user, course, session and content ids are looked up in
-    ``memo`` and added to it, so that the events of one parse hold one
-    string object per distinct id.
-    """
+def _decode(text: Union[str, bytes]):
+    """The value of a raw line or string as ``json.loads`` gives it, or the
+    invalid-JSON outcome."""
     try:
         if type(text) is not str:
             # What json.loads does with bytes. json.detect_encoding can only
@@ -335,13 +322,20 @@ def parse_line(text: Union[str, bytes], memo: Optional[dict] = None) -> ParseOut
                 text = text.decode("utf-8", "surrogatepass")
             else:
                 text = text.decode(_detect_encoding(text), "surrogatepass")
-        obj = _loads(text)
+        text = text.strip(_JSON_SPACE)
+        value, end = _scan(text, 0)  # json.loads without its wrappers
     except (ValueError, RecursionError, StopIteration):
-        # ValueError includes UnicodeDecodeError. RecursionError: nesting
-        # deeper than the decoder's stack allows.
+        # ValueError includes UnicodeDecodeError; RecursionError: nesting too
+        # deep for the decoder's stack; StopIteration: no value starts the text.
         return _INVALID_JSON
+    return value if end == len(text) else _INVALID_JSON
+
+
+def _head(obj) -> Union[Head, Malformed, FilteredOut]:
+    """The head of a decoded line that is retained, or the outcome that
+    rejects it with its reason."""
     if type(obj) is not dict:
-        return _NOT_AN_OBJECT
+        return obj if obj is _INVALID_JSON else _NOT_AN_OBJECT
 
     # edX writes the discriminator to both "event_type" and "name";
     # "event_type" wins when they disagree.
@@ -374,7 +368,15 @@ def parse_line(text: Union[str, bytes], memo: Optional[dict] = None) -> ParseOut
     timestamp = parse_timestamp(obj.get("time")) or parse_timestamp(obj.get("timestamp"))
     if timestamp is None:
         return _BAD_TIMESTAMP
+    return etype, user_id, course_id, timestamp, obj
 
+
+def event_of(head: Head, memo: Optional[dict] = None) -> Event:
+    """The event of a retained line's head, its session and payload read
+    from the decoded object. Its user, course, session and content ids are
+    looked up in ``memo`` and added to it, so that the events of one parse
+    hold one string object per distinct id."""
+    etype, user_id, course_id, timestamp, obj = head
     session_id = _as_id(obj.get("session")) or _as_id(obj.get("session_id"))
 
     if memo is None:
@@ -385,10 +387,7 @@ def parse_line(text: Union[str, bytes], memo: Optional[dict] = None) -> ParseOut
     raw_payload = obj.get("event")
     if type(raw_payload) is str:
         # Nested payloads sometimes arrive JSON-encoded; re-parse once.
-        try:
-            raw_payload = _loads(raw_payload)
-        except (ValueError, RecursionError, StopIteration):
-            raw_payload = None
+        raw_payload = _decode(raw_payload)
     payload: Optional[Payload] = None
     if type(raw_payload) is dict:
         if etype in VIDEO_TYPES:
@@ -401,6 +400,19 @@ def parse_line(text: Union[str, bytes], memo: Optional[dict] = None) -> ParseOut
     return Event(
         share(user_id, user_id), share(course_id, course_id), session_id, timestamp, etype, payload
     )
+
+
+def parse_line(text: Union[str, bytes], memo: Optional[dict] = None) -> ParseOutcome:
+    """Parse one raw log line.
+
+    Returns an :class:`Event` iff the line is valid JSON, names a retained
+    event type, comes from the browser, and carries non-empty user and
+    course identifiers that UTF-8 can encode plus a parseable timestamp.
+    Deterministic: the same byte line always yields the same outcome. Ids
+    are shared through ``memo`` as :func:`event_of` says.
+    """
+    head = _head(_decode(text))
+    return event_of(head, memo) if type(head) is tuple else head
 
 
 def event_to_json(event: Event) -> str:
@@ -424,20 +436,36 @@ def open_log(path: Union[str, Path]) -> IO[bytes]:
     """Open a log file for binary reading, transparently decompressing .gz."""
     path = Path(path)
     if path.suffix == ".gz":
-        return gzip.open(path, "rb")
+        # A BufferedReader splits the lines in C; GzipFile.readline is Python.
+        return io.BufferedReader(gzip.open(path, "rb"))
     return open(path, "rb")
 
 
-def iter_events(
-    path: Union[str, Path], stats: Optional[ParseStats] = None, memo: Optional[dict] = None
-) -> Iterator[Event]:
-    """Yield retained events from a log file, tallying every line into
-    ``stats`` and sharing ids through ``memo`` (see :func:`parse_line`). A
-    gzip stream that ends early or is corrupt raises
-    :class:`gzip.BadGzipFile` naming the file."""
+def _heads(lines: Iterable[Union[str, bytes]], stats: ParseStats) -> Iterator[Head]:
+    """The heads of the retained lines; every line is tallied into
+    ``stats`` once the lines are exhausted or the generator is closed."""
+    read = malformed = filtered_out = 0
+    try:
+        for read, line in enumerate(lines, 1):
+            head = _head(_decode(line))
+            if type(head) is tuple:
+                yield head
+            elif type(head) is Malformed:
+                malformed += 1
+            else:
+                filtered_out += 1
+    finally:
+        stats.add(read, malformed, filtered_out)
+
+
+def iter_events(path: Union[str, Path], stats: Optional[ParseStats] = None) -> Iterator[Head]:
+    """Yield the heads of a log file's retained lines (see :func:`event_of`),
+    tallying every line into ``stats``: the tallies are complete once the
+    generator is exhausted or closed. A gzip stream that ends early or is
+    corrupt raises :class:`gzip.BadGzipFile` naming the file."""
     with open_log(path) as handle:
         try:
-            yield from parse_events(handle, stats, memo)
+            yield from _heads(handle, stats or ParseStats())
         except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
             raise gzip.BadGzipFile(f"{path}: truncated or corrupt gzip data ({exc})") from exc
 
@@ -447,14 +475,7 @@ def parse_events(
     stats: Optional[ParseStats] = None,
     memo: Optional[dict] = None,
 ) -> Iterator[Event]:
-    """Yield retained events from raw lines, tallying every line into
-    ``stats``. Equal ids share one string object across the lines, and
-    across calls given the same ``memo``."""
-    if memo is None:
-        memo = {}
-    for line in lines:
-        outcome = parse_line(line, memo)
-        if stats is not None:
-            stats.record(outcome)
-        if isinstance(outcome, Event):
-            yield outcome
+    """The retained events of raw lines, tallying every line into ``stats``
+    once the lines are exhausted. Equal ids share one string object across
+    the lines, and across calls given the same ``memo``."""
+    return map(event_of, _heads(lines, stats or ParseStats()), repeat({} if memo is None else memo))

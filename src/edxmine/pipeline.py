@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from functools import reduce
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterator, Optional, Sequence, Union
 
@@ -31,7 +31,7 @@ from .engagement import (
     as_datetime,
     collect_student_events,
 )
-from .events import Event, ParseStats, iter_events
+from .events import Head, ParseStats, event_of, iter_events
 from .manifest import CourseManifest, InputError, load_manifest, read_json
 from .patterns import (
     MiningResult,
@@ -192,21 +192,18 @@ def _log_paths(paths: Sequence[Union[str, Path]]) -> list[Path]:
     return paths
 
 
-def _events(paths: Sequence[Union[str, Path]], per_file: list) -> Iterator[Event]:
-    """The retained events of many files in input order, equal ids sharing
-    one string object across the files. Each file's tallies are appended to
-    ``per_file`` as it is opened. A missing file is an input error before any
-    log is read."""
-    paths = _log_paths(paths)
-    memo: dict[str, str] = {}
+def _file_heads(paths: Sequence[Union[str, Path]], per_file: list) -> Iterator[Head]:
+    """The heads of many files' retained lines in input order. Each file's
+    tallies are appended to ``per_file`` as it is opened. A missing file is
+    an input error before any log is read."""
 
-    def parse(path: Path) -> Iterator[Event]:
+    def parse(path: Path) -> Iterator[Head]:
         stats = ParseStats()
         per_file.append((str(path), stats))
-        return iter_events(path, stats, memo)
+        return iter_events(path, stats)
 
-    # chain, not a generator of ours, so no extra frame resumes per event.
-    return chain.from_iterable(map(parse, paths))
+    # chain, not a generator of ours, so no extra frame resumes per line.
+    return chain.from_iterable(map(parse, _log_paths(paths)))
 
 
 def _total(per_file: list) -> ParseStats:
@@ -218,18 +215,18 @@ def parse_log_files(
 ) -> tuple[ParseStats, dict[StudentKey, StudentEvents], list[tuple[str, ParseStats]]]:
     """Parse many files in one pass into per-(user, course) states, keeping
     no list of events: the total tallies, the states, and each file's
-    tallies."""
+    tallies. Equal ids share one string object across the files."""
     per_file: list[tuple[str, ParseStats]] = []
-    students = collect_student_events(_events(paths, per_file))
+    students = collect_student_events(map(event_of, _file_heads(paths, per_file), repeat({})))
     return _total(per_file), students, per_file
 
 
 def validate_files(
     paths: Sequence[Union[str, Path]],
 ) -> tuple[ParseStats, list[tuple[str, ParseStats]]]:
-    """Streaming per-file parse tallies; events are discarded, not held."""
+    """Streaming per-file parse tallies; no event is built."""
     per_file: list[tuple[str, ParseStats]] = []
-    for _ in _events(paths, per_file):
+    for _ in _file_heads(paths, per_file):
         pass
     return _total(per_file), per_file
 

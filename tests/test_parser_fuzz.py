@@ -16,9 +16,13 @@ The module needs no pytest, so other interpreters can run it directly::
 from __future__ import annotations
 
 import functools
+import gzip
+import io
 import json
 import random
 import sys
+import tempfile
+from pathlib import Path
 from typing import Union
 
 from edxmine.events import (
@@ -27,10 +31,13 @@ from edxmine.events import (
     FilteredOut,
     Malformed,
     ParseStats,
+    event_of,
     event_to_json,
+    iter_events,
     parse_events,
     parse_line,
 )
+from edxmine.pipeline import parse_log_files, validate_files
 from edxmine.synth import default_corpus_spec, generate_corpus
 
 from reference_parser import reference_outcome, timestamp_fields, typed
@@ -330,6 +337,39 @@ def check_parse_stats(lines) -> None:
     assert retained > len(lines) // 4
 
 
+def check_file_tallies(lines) -> None:
+    """The fuzz corpus as a plain and a gzip log: ``validate`` and
+    ``pipeline`` tally each file as the reference parser does, and the
+    events built from ``iter_events``' heads are those of ``parse_line``."""
+    data = b"".join(
+        (line if type(line) is bytes else line.encode("utf-8", "surrogatepass")).removesuffix(b"\n")
+        + b"\n"
+        for line in lines
+    )
+    file_lines = list(io.BytesIO(data))  # what a reader of the file sees
+    kinds = [reference_outcome(line)[0] for line in file_lines]
+    malformed = kinds.count("malformed")
+    want = ParseStats(
+        lines_read=len(kinds),
+        parsed=len(kinds) - malformed,
+        retained=kinds.count("event"),
+        malformed=malformed,
+        filtered_out=kinds.count("filtered"),
+    )
+    alone = [e for e in map(parse_line, file_lines) if isinstance(e, Event)]
+    with tempfile.TemporaryDirectory() as tmp:
+        plain, gz = Path(tmp, "fuzz.log"), Path(tmp, "fuzz.log.gz")
+        plain.write_bytes(data)
+        gz.write_bytes(gzip.compress(data))
+        _, per_file = validate_files([plain, gz])
+        assert per_file == parse_log_files([plain, gz])[2] == [(str(plain), want), (str(gz), want)]
+        for path in (plain, gz):
+            memo: dict = {}
+            events = [event_of(head, memo) for head in iter_events(path)]
+            assert [describe(e) for e in events] == [describe(e) for e in alone]
+            assert [event_to_json(e) for e in events] == [event_to_json(e) for e in alone]
+
+
 def _reject_constant(name: str):
     raise ValueError(f"non-standard JSON constant {name}")
 
@@ -342,7 +382,7 @@ def check_strict_json(lines) -> None:
             assert not obj.keys() & {"source", "org_id", "new_speed", "success", "attempts"}
 
 
-CHECKS = (check_matches_reference, check_parse_stats, check_strict_json)
+CHECKS = (check_matches_reference, check_parse_stats, check_file_tallies, check_strict_json)
 
 
 def test_parse_line_matches_reference():
@@ -396,6 +436,10 @@ def test_decode_edges_match_reference():
 
 def test_parse_stats_identities():
     check_parse_stats(fuzz_corpus())
+
+
+def test_file_tallies_match_reference():
+    check_file_tallies(fuzz_corpus())
 
 
 def test_retained_events_serialize_to_strict_json():

@@ -644,6 +644,14 @@ class TestCli:
         assert main(["validate", str(missing)]) == 2
         assert "absent.log" in capsys.readouterr().err
 
+    def test_validate_missing_second_file_prints_no_tally(self, tmp_path, capsys):
+        good = tmp_path / "good.log"
+        good.write_text(raw_line() + "\n")
+        assert main(["validate", str(good), str(tmp_path / "absent.log")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "absent.log" in captured.err
+
     def test_validate_counts_malformed_without_failing(self, tmp_path, capsys):
         log = tmp_path / "events.log"
         log.write_text(raw_line() + "\n{broken\n")
