@@ -14,9 +14,10 @@ import io
 import json
 import math
 import re
+import sys
 import zlib
 from dataclasses import asdict, astuple, dataclass
-from datetime import datetime, timezone
+from datetime import date, datetime, timedelta, timezone
 from itertools import repeat
 from json.scanner import make_scanner
 from pathlib import Path
@@ -153,14 +154,54 @@ class ParseStats:
         return asdict(self)
 
 
-_FRACTION = re.compile(r"\.(\d+)")
+# A timestamp is ``YYYY-MM-DD``, optionally followed by any one separator
+# character and ``HH[:MM[:SS[.fraction]]]``, then by ``Z``, by
+# ``±HH:MM[:SS[.ffffff]]`` or by nothing (UTC). This is the form Python 3.10's
+# ``datetime.fromisoformat`` documents, plus ``Z`` and a fraction of any
+# length. Later versions of ``fromisoformat`` also accept basic
+# (``20210823T102242``), week-date, comma-fraction and ``+0200`` forms, so it
+# is only called on shapes that every version reads alike.
+_TIMESTAMP = re.compile(
+    r"([0-9]{4})-([0-9]{2})-([0-9]{2})"
+    r"(?:.([0-9]{2})(?::([0-9]{2})(?::([0-9]{2})(?:\.([0-9]+))?)?)?"
+    r"(?:Z|([+-])([0-9]{2}):([0-9]{2})(?::([0-9]{2})(?:\.([0-9]{6}))?)?)?)?",
+    re.DOTALL,
+)
+_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+# Python 3.11 on reads a trailing Z as UTC itself; 3.10 needs "+00:00".
+_READS_Z = sys.version_info >= (3, 11)
 _UTC = timezone.utc
 _INF = math.inf
 _isfinite = math.isfinite
 
 
+def parse_date(raw) -> date:
+    """A ``YYYY-MM-DD`` string as a date; any other value raises ValueError."""
+    if type(raw) is not str or not _DATE.fullmatch(raw):
+        raise ValueError(f"not a YYYY-MM-DD date: {raw!r}")
+    return date.fromisoformat(raw)
+
+
+def _timestamp_from_grammar(raw: str) -> Optional[datetime]:
+    match = _TIMESTAMP.fullmatch(raw)
+    if match is None:
+        return None
+    year, month, day, hour, minute, second, fraction, sign, oh, om, os_, of = match.groups()
+    micro = int(fraction[:6].ljust(6, "0")) if fraction else 0
+    try:
+        tz = _UTC
+        if sign:
+            offset = timedelta(hours=int(oh), minutes=int(om), seconds=int(os_ or 0),
+                               microseconds=int(of or 0))
+            tz = timezone(-offset if sign == "-" else offset)  # ValueError past 24 h
+        return datetime(int(year), int(month), int(day), int(hour or 0), int(minute or 0),
+                        int(second or 0), micro, tz)
+    except ValueError:
+        return None
+
+
 def parse_timestamp(raw) -> Optional[datetime]:
-    """Parse an ISO-8601 instant (fractional seconds, trailing Z) to UTC.
+    """Parse a timestamp of the grammar above to UTC.
 
     Precision is quantized to milliseconds so that serialization round-trips.
     An instant that falls outside ``datetime``'s range once moved to UTC is
@@ -168,24 +209,31 @@ def parse_timestamp(raw) -> Optional[datetime]:
     """
     # Decoded JSON holds exact types, so ``type(...) is`` suffices here and in
     # the field checks below; it is cheaper than isinstance.
-    if type(raw) is not str or not raw:
+    if type(raw) is not str:
         return None
-    text = raw[:-1] + "+00:00" if raw[-1] == "Z" else raw
-    try:
-        ts = datetime.fromisoformat(text)
-    except ValueError:
-        # Python 3.10 only accepts 3- or 6-digit fractions; logs vary.
-        normalized = _FRACTION.sub(lambda m: "." + m.group(1)[:6].ljust(6, "0"), text, count=1)
+    # The shapes logs use, ``YYYY-MM-DDTHH:MM:SS.fff`` then ``Z`` or
+    # ``±HH:MM``, are told by their punctuation alone: every version of
+    # ``fromisoformat`` reads the other places of these as ASCII digits or
+    # fails, unless one holds a NUL, where its C parser stops reading.
+    # Anything else goes through the grammar's regex.
+    n = len(raw)
+    if (
+        raw[4:20:3] == "--T::."
+        and (n == 24 and raw[23] == "Z" or n == 29 and raw[26] == ":" and raw[23] in "+-")
+        and "\0" not in raw
+    ):
         try:
-            ts = datetime.fromisoformat(normalized)
+            ts = datetime.fromisoformat(raw if n == 29 or _READS_Z else raw[:23] + "+00:00")
         except ValueError:
+            return None
+    else:
+        ts = _timestamp_from_grammar(raw)
+        if ts is None:
             return None
     # A zero offset parses to the ``timezone.utc`` singleton, which needs no
     # conversion.
     tz = ts.tzinfo
-    if tz is None:
-        ts = ts.replace(tzinfo=_UTC)
-    elif tz is not _UTC:
+    if tz is not _UTC:
         try:
             ts = ts.astimezone(_UTC)
         except OverflowError:

@@ -14,6 +14,8 @@ from datetime import date
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, Optional, Union
 
+from .events import parse_date
+
 
 class InputError(Exception):
     """Anticipated bad input (configs, specs, paths, names); exit code 2."""
@@ -191,7 +193,7 @@ def parse_manifest(obj: dict) -> CourseManifest:
     course_start = None
     if obj.get("course_start") is not None:
         try:
-            course_start = date.fromisoformat(obj["course_start"])
+            course_start = parse_date(obj["course_start"])
         except (TypeError, ValueError):
             raise ManifestError(f"bad course_start: {obj.get('course_start')!r}")
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import timedelta
+from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence, Union
 
@@ -37,7 +38,7 @@ class SymbolAlphabet:
     names: tuple[str, ...]
 
     def render(self, symbols: Sequence[int]) -> str:
-        return ">".join(self.names[code] for code in symbols)
+        return ">".join(map(self.names.__getitem__, symbols))
 
 
 def build_alphabet(split_check_outcome: bool = False) -> SymbolAlphabet:
@@ -113,7 +114,8 @@ def prefixspan(
     """All patterns up to ``max_len`` with subsequence-support >= ``min_support``.
 
     Output is canonical: sorted by length, then symbol order, regardless of
-    input order.
+    input order. The growth below finds each length's patterns in that
+    order, so no sort is needed.
     """
     if min_support < 1:
         raise ValueError("min_support must be >= 1")
@@ -146,15 +148,23 @@ def prefixspan(
     data = ((1 << len(layout)) - 1) ^ guard
     low = ((guard << 1) | 1) & data  # each block's first bit
     bits = {code: bitmap(code) for code in sorted(set(layout) - {_GUARD})}
-    found: list[SequencePattern] = []
+    # levels[k] holds the patterns of length k + 1. A level is added only
+    # when a pattern reaches it, so ``max_len`` costs nothing until then.
+    levels: list[list[SequencePattern]] = []
 
     # Depth-first growth on an explicit stack, so a pattern may be longer
     # than the interpreter's recursion limit. Each entry is a pattern, the
     # bitmap of where its occurrences can end (unread for the empty
     # pattern, which extends anywhere), and the symbols that may extend it.
+    # Entries are popped in symbol order, so each level is filled in symbol
+    # order: a pre-order walk of the pattern tree.
     stack: list[tuple[int, tuple[int, ...], list[int]]] = [(0, (), list(bits))]
     while stack:
         ends, prefix, candidates = stack.pop()
+        depth = len(prefix)
+        if depth == len(levels):
+            levels.append([])
+        found = levels[depth]
         g = ends | guard  # g ^ (g - low): each block's bits up to its first end
         # The positions past the first end of ``prefix`` in each sequence.
         after = data & ~(g ^ (g - low)) if prefix else data
@@ -170,15 +180,12 @@ def prefixspan(
             support = (((sym_ends | guard) - low) & guard).bit_count()
             if support >= min_support:
                 pattern = prefix + (sym,)
-                found.append(SequencePattern(symbols=pattern, support=support))
+                found.append(SequencePattern(pattern, support))
                 symbols.append(sym)
                 frequent.append((sym_ends, pattern, symbols))
-        if len(prefix) + 1 < max_len:
-            # Popped in symbol order, so ``found`` grows as a recursive descent
-            # would grow it.
+        if depth + 1 < max_len:
             stack.extend(reversed(frequent))
-    found.sort(key=lambda p: (len(p.symbols), p.symbols))
-    return found
+    return list(chain.from_iterable(levels))
 
 
 @dataclass(frozen=True)
@@ -230,19 +237,35 @@ def contrast_patterns(results: Mapping[str, MiningResult]) -> list[ContrastRow]:
 _HEADER = "pattern,support,relative_support,class\r\n"
 
 
+class _Tails(dict):
+    """One class's line endings by support: the text that follows the
+    pattern on each of its lines. A class has at most ``n_sequences + 1``
+    supports, so each ending is formatted once."""
+
+    def __init__(self, n_sequences: int, class_name: str):
+        super().__init__()
+        self.n_sequences = n_sequences
+        self.class_name = class_name
+
+    def __missing__(self, support: int) -> str:
+        rel = relative_support(support, self.n_sequences)
+        tail = self[support] = f",{support},{rel!r},{self.class_name}\r\n"
+        return tail
+
+
 def write_patterns_csv(
     path: Union[str, Path],
     result: MiningResult,
     alphabet: SymbolAlphabet,
     class_name: str,
 ) -> None:
-    n = result.n_sequences
+    render = alphabet.render
+    tails = _Tails(result.n_sequences, class_name)
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(_HEADER)
+        write = handle.write
+        write(_HEADER)
         for pattern in result.patterns:
-            support = pattern.support
-            rel = relative_support(support, n)
-            handle.write(f"{alphabet.render(pattern.symbols)},{support},{rel!r},{class_name}\r\n")
+            write(render(pattern.symbols) + tails[pattern.support])
 
 
 def write_contrast_csv(
@@ -253,10 +276,12 @@ def write_contrast_csv(
 ) -> None:
     """``rows`` as :func:`contrast_patterns` gives them for ``results``;
     each row's classes are written in name order."""
-    classes = [(name, results[name].n_sequences) for name in sorted(results)]
+    render = alphabet.render
+    classes = [_Tails(results[name].n_sequences, name) for name in sorted(results)]
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(_HEADER)
+        write = handle.write
+        write(_HEADER)
         for row in rows:
-            text = alphabet.render(row.symbols)
-            for (name, n), support in zip(classes, row.supports):
-                handle.write(f"{text},{support},{relative_support(support, n)!r},{name}\r\n")
+            text = render(row.symbols)
+            for tails, support in zip(classes, row.supports):
+                write(text + tails[support])

@@ -31,7 +31,7 @@ from .engagement import (
     as_datetime,
     collect_student_events,
 )
-from .events import Head, ParseStats, event_of, iter_events
+from .events import Head, ParseStats, event_of, iter_events, parse_date
 from .manifest import CourseManifest, InputError, load_manifest, read_json
 from .patterns import (
     MiningResult,
@@ -160,7 +160,7 @@ def load_run_manifest(path: Union[str, Path]) -> RunManifest:
     anchors = {}
     for label, raw in (obj.get("anchors") or {}).items():
         try:
-            anchors[label] = date.fromisoformat(raw)
+            anchors[label] = parse_date(raw)
         except (TypeError, ValueError):
             raise InputError(f"{path}: bad anchor date for {label!r}: {raw!r}")
 

@@ -20,7 +20,7 @@ from typing import Optional, Union
 
 from .classify import DEFAULT_RULES, FieldCheck, OrdinalClass, check_fields, reject_unknown_keys
 from .engagement import DEFAULT_PASSING_THRESHOLD, _score_r_value
-from .events import format_timestamp
+from .events import format_timestamp, parse_date
 from .manifest import (
     Block,
     BlockKind,
@@ -609,7 +609,7 @@ def corpus_spec_from_dict(obj: dict, base_dir: Optional[Path] = None) -> CorpusS
     return CorpusSpec(
         manifest=manifest,
         personas=tuple(_persona_from_dict(p) for p in obj.get("personas", [])),
-        term_start=date.fromisoformat(obj["term_start"]),
+        term_start=parse_date(obj["term_start"]),
         weeks=obj["weeks"],
         seed=obj["seed"],
     )

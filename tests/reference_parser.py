@@ -4,7 +4,7 @@ oracle that the fast parser in ``edxmine.events`` must agree with.
 This is the parser as it stood before events became slotted and lost their
 ``source``, with its helpers, copied as they were. It still reads the
 fields that events no longer keep (``org_id``, ``new_speed``, ``success`` and
-``attempts``); the fuzz test drops them before comparing. Three things differ:
+``attempts``); the fuzz test drops them before comparing. Four things differ:
 
 * it returns a plain tuple (see :func:`typed`) instead of building objects,
   so each field is compared with its type and the timestamp with its tzinfo;
@@ -14,6 +14,9 @@ fields that events no longer keep (``org_id``, ``new_speed``, ``success`` and
 * a user or course id that UTF-8 cannot encode (one with a lone surrogate)
   is absent, so the line falls through to the next id source. The earlier
   parser kept it, and writing it out crashed the run.
+* a timestamp must match :data:`_TIMESTAMP`, the form Python 3.10's
+  ``datetime.fromisoformat`` documents. The earlier parser took whatever the
+  running interpreter's ``fromisoformat`` took, and 3.11 takes more.
 
 Do not speed this file up: its worth is that it is the slow, obvious form.
 """
@@ -63,28 +66,45 @@ class EventSource(enum.Enum):
         return cls.OTHER
 
 
-_FRACTION = re.compile(r"\.(\d+)")
+# ``YYYY-MM-DD``, then optionally any one character, ``HH[:MM[:SS[.fraction]]]``
+# and an offset: ``Z``, ``±HH:MM[:SS[.ffffff]]`` or none (UTC).
+_TIMESTAMP = re.compile(
+    r"""
+    (?P<date> [0-9]{4}-[0-9]{2}-[0-9]{2} )
+    (?:
+        .
+        (?P<hour> [0-9]{2} )
+        (?: : (?P<minute> [0-9]{2} )
+            (?: : (?P<second> [0-9]{2} ) (?: \. (?P<fraction> [0-9]+ ) )? )?
+        )?
+        (?P<offset> Z | [+-] [0-9]{2} : [0-9]{2} (?: : [0-9]{2} (?: \. [0-9]{6} )? )? )?
+    )?
+    """,
+    re.VERBOSE | re.DOTALL,
+)
 
 
 def parse_timestamp(raw) -> Optional[datetime]:
-    if not isinstance(raw, str) or not raw:
+    if not isinstance(raw, str):
         return None
-    text = raw[:-1] + "+00:00" if raw.endswith("Z") else raw
+    match = _TIMESTAMP.fullmatch(raw)
+    if match is None:
+        return None
+    # Spelled out in full, each part in the one form every fromisoformat reads.
+    fraction = (match["fraction"] or "")[:6].ljust(6, "0")
+    offset = match["offset"] or "Z"
+    text = "{}T{}:{}:{}.{}{}".format(
+        match["date"], match["hour"] or "00", match["minute"] or "00", match["second"] or "00",
+        fraction, "+00:00" if offset == "Z" else offset,
+    )
     try:
         ts = datetime.fromisoformat(text)
     except ValueError:
-        normalized = _FRACTION.sub(lambda m: "." + m.group(1)[:6].ljust(6, "0"), text, count=1)
-        try:
-            ts = datetime.fromisoformat(normalized)
-        except ValueError:
-            return None
-    if ts.tzinfo is None:
-        ts = ts.replace(tzinfo=timezone.utc)
-    else:
-        try:
-            ts = ts.astimezone(timezone.utc)
-        except OverflowError:  # the earlier parser raised here
-            return None
+        return None
+    try:
+        ts = ts.astimezone(timezone.utc)
+    except OverflowError:  # the earlier parser raised here
+        return None
     return ts.replace(microsecond=ts.microsecond // 1000 * 1000)
 
 

@@ -5,7 +5,7 @@ import json
 import random
 import string
 import zlib
-from datetime import datetime, timezone
+from datetime import date, datetime, timezone
 
 import pytest
 
@@ -22,10 +22,14 @@ from edxmine.events import (
     event_to_json,
     format_timestamp,
     iter_events,
+    parse_date,
     parse_events,
     parse_line,
+    parse_timestamp,
 )
-from edxmine.pipeline import parse_log_files
+from edxmine.manifest import InputError, ManifestError, parse_manifest
+from edxmine.pipeline import load_run_manifest, parse_log_files, validate_files
+from edxmine.synth import corpus_spec_from_dict, corpus_spec_to_dict, default_corpus_spec
 from conftest import at, raw_line
 
 
@@ -329,6 +333,100 @@ class TestSerializationRoundTrip:
         assert long.timestamp.microsecond == 696000
         whole = parse_line(raw_line(time="2021-08-26T00:46:55Z"))
         assert whole.timestamp.microsecond == 0
+
+
+
+# The timestamp grammar, the same on every interpreter: ``YYYY-MM-DD``, then
+# optionally one separator character and ``HH[:MM[:SS[.fraction]]]``, then
+# ``Z``, ``±HH:MM[:SS[.ffffff]]`` or nothing. Each case: the raw value and
+# the UTC instant it gives, or None where the line is malformed. Python 3.11
+# widened ``datetime.fromisoformat``, so most of the rejected forms below
+# parse there and not on 3.10.
+TIMESTAMPS = [
+    ("2021-08-23T10:22:42.123Z", "2021-08-23T10:22:42.123000"),
+    ("2021-08-23T10:22:42.123+00:00", "2021-08-23T10:22:42.123000"),
+    ("2021-08-23T10:22:42.123-05:30", "2021-08-23T15:52:42.123000"),
+    ("2021-08-23T10:22:42Z", "2021-08-23T10:22:42"),
+    ("2021-08-23T10:22:42", "2021-08-23T10:22:42"),
+    ("2021-08-23T10:22Z", "2021-08-23T10:22:00"),
+    ("2021-08-23T10Z", "2021-08-23T10:00:00"),
+    ("2021-08-23", "2021-08-23T00:00:00"),
+    ("2021-08-23 10:22:42.5Z", "2021-08-23T10:22:42.500000"),
+    ("2021-08-23\u00e910:22:42Z", "2021-08-23T10:22:42"),
+    ("2021-08-23\ud80010:22:42Z", "2021-08-23T10:22:42"),
+    ("2021-08-23+00:00", "2021-08-23T00:00:00"),  # "+" is the separator
+    ("2021-08-23T10:22:42.1234567Z", "2021-08-23T10:22:42.123000"),
+    ("2021-08-23T10:22:42+02:00:30", "2021-08-23T08:22:12"),
+    ("2021-08-23T10:22:42+02:00:00.500000", "2021-08-23T08:22:41.500000"),
+    ("2021-08-23T10:22:42-00:00", "2021-08-23T10:22:42"),
+    ("0001-01-01T00:00:00-00:01", "0001-01-01T00:01:00"),
+    ("9999-12-31T23:59:59.999Z", "9999-12-31T23:59:59.999000"),
+    # Forms that Python 3.11 and later read, and 3.10 does not.
+    ("20210823T102242Z", None),
+    ("20210823", None),
+    ("2021-08-23T10:22:42+0200", None),
+    ("2021-08-23T10:22:42+02", None),
+    ("2021-W34-1T10:22:42Z", None),
+    ("2021-W34-1", None),
+    ("2021-08-23T10:22:42,5Z", None),
+    ("2021-08-23T1022Z", None),
+    ("2021-08-23T102242Z", None),
+    # Forms that every fromisoformat reads, outside the grammar.
+    ("2021-08-23Z", None),
+    ("2021-08-23T10:22.123456", None),
+    ("2021-08-23T10:+02:00", None),
+    ("2021-08-23T10:22:42.Z", None),
+    ("2021-08-23T10:22:42+02:00:00.5", None),
+    # Out of range, or a NUL where a digit belongs.
+    ("2021-08-23T24:00:00.000Z", None),
+    ("2021-02-29T10:22:42.000Z", None),
+    ("2021-08-23T10:22:42.000+24:00", None),
+    ("0001-01-01T00:00:00.000+00:01", None),
+    ("2021-08-23T10:Z\x00:42.123Z", None),
+    ("2021-08-23T10:22:42z", None),
+    ("2021-08-23T10:22:42 ", None),
+    ("\uff12021-08-23T10:22:42.000Z", None),
+    ("", None),
+]
+
+
+@pytest.mark.parametrize("raw, want", TIMESTAMPS)
+def test_timestamp_grammar(raw, want):
+    ts = parse_timestamp(raw)
+    if want is None:
+        assert ts is None
+    else:
+        assert ts.tzinfo is timezone.utc
+        assert ts.replace(tzinfo=None).isoformat() == want
+
+
+def test_timestamps_outside_the_grammar_are_malformed(tmp_path):
+    log = tmp_path / "events.log"
+    log.write_text(raw_line(time="20210823T102242Z") + "\n"
+                   + raw_line(time="2021-08-23T10:22:42+0200") + "\n")
+    total, _ = validate_files([log])
+    assert (total.malformed, total.retained) == (2, 0)
+
+
+@pytest.mark.parametrize("raw", ["20210823", "2021-W34-1", "2021-235", "2021-08-23T00:00",
+                                 " 2021-08-23", "2021-8-23", "2021-02-29", "", 20210823])
+def test_dates_are_exactly_yyyy_mm_dd(raw, tmp_path):
+    with pytest.raises(ValueError):
+        parse_date(raw)
+    with pytest.raises(ManifestError, match="bad course_start"):
+        parse_manifest({"course_start": raw})
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"anchors": {"on_campus": raw}}))
+    with pytest.raises(InputError, match="bad anchor date"):
+        load_run_manifest(config)
+    spec = dict(corpus_spec_to_dict(default_corpus_spec(users_per_class=1)), term_start=raw)
+    with pytest.raises((TypeError, ValueError)):
+        corpus_spec_from_dict(spec)
+
+
+def test_date():
+    assert parse_date("2021-08-23") == date(2021, 8, 23)
+    assert parse_manifest({"course_start": "2021-08-23"}).course_start == date(2021, 8, 23)
 
 
 class TestParseStats:

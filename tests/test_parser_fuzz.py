@@ -182,12 +182,15 @@ def lone_surrogate(rng, obj, raw):
 
 def timestamp(rng, obj, raw):
     day = rng.choice(("2021-08-26", "0001-01-01", "9999-12-31", "2020-02-29", "2021-02-29"))
-    clock = rng.choice(("T00:46:55", "T23:59:59", " 12:00:00", "T12:00", "T00:00:00"))
+    clock = rng.choice(("T00:46:55", "T23:59:59", " 12:00:00", "T12:00", "T00:00:00", "T12", "T1200"))
     digits = rng.randint(0, 9)
-    fraction = "." + "".join(rng.choice("0123456789") for _ in range(digits))
+    fraction = rng.choice(".,") + "".join(rng.choice("0123456789") for _ in range(digits))
     if digits == 0 and rng.random() < 0.7:
         fraction = ""
-    offset = rng.choice(("Z", "+00:00", "-00:00", "+02:00", "-05:30", "", "+00:00:00", "+0200", "z"))
+    offset = rng.choice((
+        "Z", "+00:00", "-00:00", "+02:00", "-05:30", "", "+00:00:00", "+0200", "z",
+        "+02", "+02:00:00.500000", "+02:00:00.5",
+    ))
     value = day + clock + fraction + offset
     if rng.random() < 0.1:
         value = rng.choice(("2021-08-26", "20210826T004655Z", "week 2021-08-26", "2021-W34-4", value[:-3]))

@@ -347,3 +347,65 @@ class TestCsvOutput:
             for row in rows
             for name, support in zip(["studier", "voyeur"], row.supports)
         ]
+
+
+ALPHABET = build_alphabet(split_check_outcome=True)
+
+
+def plain_csv(path, lines) -> None:
+    """The tables as a plain csv writer gives them, one row per line."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["pattern", "support", "relative_support", "class"])
+        for symbols, support, n, name in lines:
+            rel = support / n if n else 0.0
+            writer.writerow([">".join(ALPHABET.names[code] for code in symbols), support, rel, name])
+
+
+def random_results(rng: random.Random) -> dict[str, MiningResult]:
+    """Three to five classes, one of them empty, whose supports run from 0
+    to ``n_sequences``."""
+    names = rng.sample(["at_risk", "box_checker", "no_show", "studier", "voyeur"], rng.randint(3, 5))
+    sizes = [0, rng.randint(1, 3), rng.randint(4, 60)] + [rng.randint(0, 60) for _ in names[3:]]
+    rng.shuffle(sizes)
+    pool = {
+        tuple(rng.randrange(len(ALPHABET.names)) for _ in range(rng.randint(1, 5)))
+        for _ in range(rng.randint(0, 40))
+    }
+    results = {}
+    for name, n in zip(names, sizes):
+        mined = rng.sample(sorted(pool), rng.randint(0, len(pool)))
+        patterns = sorted((SequencePattern(p, rng.randint(0, n)) for p in mined),
+                          key=lambda p: (len(p.symbols), p.symbols))
+        results[name] = MiningResult(tuple(patterns), n)
+    # The largest class gets every support from 0 to its size, and each other
+    # non-empty class every support up to its own, so classes of different
+    # sizes share supports.
+    big = max(results, key=lambda name: results[name].n_sequences)
+    n = results[big].n_sequences
+    shared = tuple(SequencePattern((k % len(ALPHABET.names),) * (k // 8 + 6), k) for k in range(n + 1))
+    results[big] = MiningResult(results[big].patterns + shared, n)
+    for name in results:
+        if name != big and results[name].n_sequences:
+            other = results[name].n_sequences
+            results[name] = MiningResult(results[name].patterns + shared[: other + 1], other)
+    return results
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_writers_match_a_plain_csv_writer(seed, tmp_path):
+    results = random_results(random.Random(seed))
+    for name, result in results.items():
+        write_patterns_csv(tmp_path / "got.csv", result, ALPHABET, class_name=name)
+        plain_csv(tmp_path / "want.csv", [(p.symbols, p.support, result.n_sequences, name)
+                                          for p in result.patterns])
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    rows = contrast_patterns(results)
+    names = sorted(results)
+    write_contrast_csv(tmp_path / "got.csv", results, rows, ALPHABET)
+    plain_csv(tmp_path / "want.csv", [
+        (row.symbols, support, results[name].n_sequences, name)
+        for row in rows
+        for name, support in zip(names, row.supports)
+    ])
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()

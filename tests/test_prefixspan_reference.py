@@ -5,7 +5,9 @@ The databases hold empty sequences, a single sequence, layouts that cross
 64, 128 and 1,000 bits, sparse symbol codes, ``max_len`` 1, ``min_support``
 equal to and above the number of sequences, and the per-session and per-user
 sequences (check outcomes split) of each class of a synth corpus. Both miners
-must return the same pattern list for every database.
+must return the same pattern list for every database. A ``max_len`` of 10**6
+must give the reference's patterns at the longest sequence's length, with
+under 1 MB traced.
 
 The module needs no pytest, so other interpreters can run it directly::
 
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import random
 import sys
+import tracemalloc
 from typing import Iterator, NamedTuple
 
 from edxmine.engagement import collect_student_events
@@ -107,6 +110,27 @@ def check(case: Case) -> None:
     assert mined == expected, f"{case.label}: {len(mined)} patterns, reference {len(expected)}"
 
 
+def check_huge_max_len() -> None:
+    """A ``max_len`` far above every sequence's length gives the patterns of
+    ``max_len`` equal to the longest length, and allocates nothing for the
+    lengths no pattern reaches."""
+    sequences = seqs([0, 1, 2, 0], [1, 2, 0, 1, 2], [2, 2, 1], [])
+    longest = max(len(seq.symbols) for seq in sequences)
+    expected = reference_prefixspan(sequences, 1, longest)
+    tracemalloc.start()
+    try:
+        mined = prefixspan(sequences, 1, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mined == expected, f"max_len 10**6: {len(mined)} patterns, reference {len(expected)}"
+    assert peak < 1 << 20, f"max_len 10**6: peak {peak} bytes traced"
+
+
+def test_huge_max_len():
+    check_huge_max_len()
+
+
 def test_edge_cases():
     for case in edge_cases():
         check(case)
@@ -123,8 +147,9 @@ def test_synth_corpus_classes():
 
 
 def main(argv: list[str]) -> int:
-    """Check the edge cases, then ``count`` random databases and the synth
-    corpus classes on the default seed and on ``extra`` more seeds."""
+    """Check a huge ``max_len`` and the edge cases, then ``count`` random
+    databases and the synth corpus classes on the default seed and on
+    ``extra`` more seeds."""
     count = int(argv[0]) if argv else DATABASES_PER_SEED
     extra = int(argv[1]) if len(argv) > 1 else 3
     failed = 0
@@ -132,6 +157,11 @@ def main(argv: list[str]) -> int:
         (f"seed {seed}", [*random_databases(seed, count), *synth_cases(seed)])
         for seed in range(SEED, SEED + extra + 1)
     ]
+    try:
+        check_huge_max_len()
+    except AssertionError as exc:
+        failed += 1
+        print(f"FAIL {exc}")
     for name, cases in batches:
         for case in cases:
             try:
