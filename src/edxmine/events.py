@@ -14,7 +14,6 @@ import io
 import json
 import math
 import re
-import sys
 import zlib
 from dataclasses import asdict, astuple, dataclass
 from datetime import date, datetime, timedelta, timezone
@@ -168,8 +167,6 @@ _TIMESTAMP = re.compile(
     re.DOTALL,
 )
 _DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
-# Python 3.11 on reads a trailing Z as UTC itself; 3.10 needs "+00:00".
-_READS_Z = sys.version_info >= (3, 11)
 _UTC = timezone.utc
 _INF = math.inf
 _isfinite = math.isfinite
@@ -211,19 +208,27 @@ def parse_timestamp(raw) -> Optional[datetime]:
     # the field checks below; it is cheaper than isinstance.
     if type(raw) is not str:
         return None
-    # The shapes logs use, ``YYYY-MM-DDTHH:MM:SS.fff`` then ``Z`` or
-    # ``±HH:MM``, are told by their punctuation alone: every version of
-    # ``fromisoformat`` reads the other places of these as ASCII digits or
-    # fails, unless one holds a NUL, where its C parser stops reading.
-    # Anything else goes through the grammar's regex.
+    # The shapes logs use, ``YYYY-MM-DDTHH:MM:SS``, then ``.fff``, ``.ffffff``
+    # or nothing, then ``Z`` or ``±HH:MM``, are told by their length and
+    # punctuation alone: every version of ``fromisoformat`` reads the other
+    # places of these as ASCII digits or fails, unless one holds a NUL, where
+    # its C parser may stop reading. Anything else goes through the grammar's
+    # regex.
     n = len(raw)
+    punct = raw[4:20:3]
     if (
-        raw[4:20:3] == "--T::."
-        and (n == 24 and raw[23] == "Z" or n == 29 and raw[26] == ":" and raw[23] in "+-")
+        (
+            punct == "--T::."
+            and ((n == 24 or n == 27) and raw[-1] == "Z"
+                 or (n == 29 or n == 32) and raw[n - 6] in "+-" and raw[n - 3] == ":")
+            or n == 20 and punct == "--T::Z"
+            or n == 25 and (punct == "--T::+" or punct == "--T::-") and raw[22] == ":"
+        )
         and "\0" not in raw
     ):
         try:
-            ts = datetime.fromisoformat(raw if n == 29 or _READS_Z else raw[:23] + "+00:00")
+            # Python 3.10 reads a UTC offset but not Z.
+            ts = datetime.fromisoformat(raw[:-1] + "+00:00" if raw[-1] == "Z" else raw)
         except ValueError:
             return None
     else:

@@ -346,6 +346,10 @@ TIMESTAMPS = [
     ("2021-08-23T10:22:42.123Z", "2021-08-23T10:22:42.123000"),
     ("2021-08-23T10:22:42.123+00:00", "2021-08-23T10:22:42.123000"),
     ("2021-08-23T10:22:42.123-05:30", "2021-08-23T15:52:42.123000"),
+    ("2021-08-23T10:22:42.123456+00:00", "2021-08-23T10:22:42.123000"),
+    ("2021-08-23T10:22:42.999999-05:30", "2021-08-23T15:52:42.999000"),
+    ("2021-08-23T10:22:42.123456Z", "2021-08-23T10:22:42.123000"),
+    ("2021-08-23T10:22:42+02:00", "2021-08-23T08:22:42"),
     ("2021-08-23T10:22:42Z", "2021-08-23T10:22:42"),
     ("2021-08-23T10:22:42", "2021-08-23T10:22:42"),
     ("2021-08-23T10:22Z", "2021-08-23T10:22:00"),
@@ -383,6 +387,7 @@ TIMESTAMPS = [
     ("2021-08-23T10:22:42.000+24:00", None),
     ("0001-01-01T00:00:00.000+00:01", None),
     ("2021-08-23T10:Z\x00:42.123Z", None),
+    ("2021-08-23T10:22:Z\x00Z", None),
     ("2021-08-23T10:22:42z", None),
     ("2021-08-23T10:22:42 ", None),
     ("\uff12021-08-23T10:22:42.000Z", None),

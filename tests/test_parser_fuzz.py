@@ -6,7 +6,9 @@ payloads, then byte flips, truncation, invalid UTF-8, byte-order marks and
 UTF-16/32 encodings. Every line must give the same outcome as
 ``reference_parser.reference_outcome``, field types and tzinfo included,
 once the fields that events do not keep are dropped from it (see
-:func:`kept_fields`).
+:func:`kept_fields`). Apart from the lines, the timestamp shapes that
+``parse_timestamp`` hands straight to ``fromisoformat`` are mutated a
+character at a time and must parse as the reference's grammar says.
 
 The module needs no pytest, so other interpreters can run it directly::
 
@@ -36,16 +38,19 @@ from edxmine.events import (
     iter_events,
     parse_events,
     parse_line,
+    parse_timestamp,
 )
 from edxmine.pipeline import parse_log_files, validate_files
 from edxmine.synth import default_corpus_spec, generate_corpus
 
+import reference_parser
 from reference_parser import reference_outcome, timestamp_fields, typed
 
 Line = Union[str, bytes]
 
 FUZZ_SEED = 6006
 VARIANTS_PER_SEED_LINE = 40
+TIMESTAMPS_PER_SEED = 4000
 
 TOP_FIELDS = (
     "name", "event_type", "event_source", "context", "user_id", "username",
@@ -298,6 +303,51 @@ def fuzz_corpus(seed: int = FUZZ_SEED, variants: int = VARIANTS_PER_SEED_LINE) -
     return tuple(lines)
 
 
+# Characters a mutated timestamp takes: digits, the grammar's punctuation
+# and its near misses, a NUL, and non-ASCII letters, digits and a surrogate.
+_TIMESTAMP_CHARS = "0123456789" + "+-:.TZz ,W" * 2 + "\0\0\u00e9\u0663\uff11\ud800"
+
+
+def timestamp_shapes(seed: int, count: int = TIMESTAMPS_PER_SEED) -> list[str]:
+    """``count`` timestamps of the shapes ``YYYY-MM-DDTHH:MM:SS``, then
+    ``.fff``, ``.ffffff`` or nothing, then ``Z`` or ``±HH:MM``, most with
+    one to three characters replaced, inserted or deleted."""
+    rng = random.Random(seed)
+    values = []
+    for _ in range(count):
+        value = "{:04d}-{:02d}-{:02d}T{:02d}:{:02d}:{:02d}{}{}".format(
+            rng.choice((1, 2021, 2024, 9999)), rng.randint(1, 12), rng.randint(1, 31),
+            rng.randint(0, 24), rng.randint(0, 59), rng.randint(0, 60),
+            rng.choice(("", ".{:03d}", ".{:06d}")).format(rng.randint(0, 999999) % 1000000),
+            rng.choice(("Z", "+00:00", "-00:00", "+02:00", "-05:30", "+14:00", "+24:00")),
+        )
+        for _ in range(rng.choice((0, 1, 1, 2, 3))):
+            at = rng.randrange(len(value) + 1)
+            kind = rng.random()
+            char = rng.choice(_TIMESTAMP_CHARS)
+            if kind < 0.7:
+                value = value[:at] + char + value[at + 1:]
+            elif kind < 0.85:
+                value = value[:at] + char + value[at:]
+            else:
+                value = value[:at] + value[at + 1:]
+        values.append(value)
+    return values
+
+
+def check_timestamps_match_reference(values) -> None:
+    mismatches = []
+    for value in values:
+        got, want = parse_timestamp(value), reference_parser.parse_timestamp(value)
+        got, want = (None if ts is None else timestamp_fields(ts) for ts in (got, want))
+        if got != want:
+            mismatches.append(f"{value!r}\n  parse_timestamp: {got}\n  reference:       {want}")
+    assert not mismatches, f"{len(mismatches)} timestamps differ:\n" + "\n".join(mismatches[:5])
+    # Both outcomes are well represented.
+    parsed = sum(reference_parser.parse_timestamp(value) is not None for value in values)
+    assert len(values) // 10 < parsed < len(values) * 9 // 10
+
+
 def _short(line: Line) -> str:
     text = repr(line)
     return text if len(text) <= 300 else text[:300] + "..."
@@ -437,6 +487,10 @@ def test_decode_edges_match_reference():
     ]
 
 
+def test_timestamp_shapes_match_reference():
+    check_timestamps_match_reference(timestamp_shapes(FUZZ_SEED))
+
+
 def test_parse_stats_identities():
     check_parse_stats(fuzz_corpus())
 
@@ -462,7 +516,12 @@ def main(argv: list[str]) -> int:
             except Exception as exc:  # a failed assert, or the strict JSON reader
                 failed += 1
                 print(f"FAIL seed {seed} {check.__name__}: {exc}"[:2000])
-        print(f"seed {seed}: {len(lines)} lines checked")
+        try:
+            check_timestamps_match_reference(timestamp_shapes(seed))
+        except AssertionError as exc:
+            failed += 1
+            print(f"FAIL seed {seed} check_timestamps_match_reference: {exc}"[:2000])
+        print(f"seed {seed}: {len(lines)} lines and {TIMESTAMPS_PER_SEED} timestamps checked")
         fuzz_corpus.cache_clear()
     print(f"python {sys.version.split()[0]}: {failed} failed")
     return 1 if failed else 0
