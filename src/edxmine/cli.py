@@ -93,17 +93,12 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _load_run(args) -> RunManifest:
+def cmd_pipeline(args) -> int:
     run = load_run_manifest(args.run_config) if args.run_config else RunManifest()
     if args.gap is not None:
         run.gap = args.gap
     if args.passing_threshold is not None:
         run.passing_threshold = args.passing_threshold
-    return run
-
-
-def cmd_pipeline(args) -> int:
-    run = _load_run(args)
     if args.manifest:
         run.manifest = load_manifest(args.manifest)
     result = run_pipeline(
@@ -122,7 +117,7 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_mine(args) -> int:
-    run = _load_run(args)
+    run = load_run_manifest(args.run_config) if args.run_config else None
     class_names: Optional[list[str]] = None
     if args.classes:
         class_names = [c.strip() for c in args.classes.split(",") if c.strip()]
@@ -188,7 +183,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_mine.add_argument("--out", required=True,
                         help="pipeline output directory (needs classifications.csv and "
                              f"{STORE_NAME})")
-    p_mine.add_argument("--run-config", help="run config JSON")
+    p_mine.add_argument("--run-config",
+                        help="run config JSON; its gap and threshold must be the ones "
+                             "pipeline used, which mine reads from the store")
     p_mine.add_argument("--class", dest="classes", default=None,
                         help="comma-separated class names (default: all)")
     p_mine.add_argument("--min-support", type=_min_support, default=0.05,
@@ -205,8 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="split problem checks into pass/fail symbols")
     p_mine.add_argument("--collapse-runs", action="store_true",
                         help="collapse consecutive duplicate symbols")
-    p_mine.add_argument("--gap-minutes", dest="gap", type=_gap, default=None)
-    p_mine.add_argument("--passing-threshold", type=_threshold, default=None)
     p_mine.set_defaults(func=cmd_mine)
 
     p_synth = sub.add_parser("synth", help="generate a labeled synthetic corpus")

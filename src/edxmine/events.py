@@ -157,13 +157,15 @@ class ParseStats:
 # character and ``HH[:MM[:SS[.fraction]]]``, then by ``Z``, by
 # ``±HH:MM[:SS[.ffffff]]`` or by nothing (UTC). This is the form Python 3.10's
 # ``datetime.fromisoformat`` documents, plus ``Z`` and a fraction of any
-# length. Later versions of ``fromisoformat`` also accept basic
-# (``20210823T102242``), week-date, comma-fraction and ``+0200`` forms, so it
-# is only called on shapes that every version reads alike.
+# length, less an offset's minutes or seconds of 60 or more, which
+# ``fromisoformat`` reads as more minutes or seconds. Later versions of
+# ``fromisoformat`` also accept basic (``20210823T102242``), week-date,
+# comma-fraction and ``+0200`` forms, so it is only called on shapes that
+# every version reads alike.
 _TIMESTAMP = re.compile(
     r"([0-9]{4})-([0-9]{2})-([0-9]{2})"
     r"(?:.([0-9]{2})(?::([0-9]{2})(?::([0-9]{2})(?:\.([0-9]+))?)?)?"
-    r"(?:Z|([+-])([0-9]{2}):([0-9]{2})(?::([0-9]{2})(?:\.([0-9]{6}))?)?)?)?",
+    r"(?:Z|([+-])([0-9]{2}):([0-5][0-9])(?::([0-5][0-9])(?:\.([0-9]{6}))?)?)?)?",
     re.DOTALL,
 )
 _DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
@@ -209,26 +211,37 @@ def parse_timestamp(raw) -> Optional[datetime]:
     if type(raw) is not str:
         return None
     # The shapes logs use, ``YYYY-MM-DDTHH:MM:SS``, then ``.fff``, ``.ffffff``
-    # or nothing, then ``Z`` or ``±HH:MM``, are told by their length and
-    # punctuation alone: every version of ``fromisoformat`` reads the other
-    # places of these as ASCII digits or fails, unless one holds a NUL, where
-    # its C parser may stop reading. Anything else goes through the grammar's
-    # regex.
+    # or nothing, then ``Z`` or ``±HH:MM`` with minutes below 60, are told by
+    # their length and punctuation alone: every version of ``fromisoformat``
+    # reads the other places of these as ASCII digits or fails, unless one
+    # holds a NUL, where its C parser may stop reading. Anything else goes
+    # through the grammar's regex.
     n = len(raw)
     punct = raw[4:20:3]
     if (
         (
             punct == "--T::."
             and ((n == 24 or n == 27) and raw[-1] == "Z"
-                 or (n == 29 or n == 32) and raw[n - 6] in "+-" and raw[n - 3] == ":")
+                 or (n == 29 or n == 32) and raw[n - 6] in "+-" and raw[n - 3] == ":"
+                 and raw[-2] < "6")
             or n == 20 and punct == "--T::Z"
             or n == 25 and (punct == "--T::+" or punct == "--T::-") and raw[22] == ":"
+            and raw[-2] < "6"
         )
         and "\0" not in raw
     ):
+        # Python 3.10 reads a UTC offset but not Z. Of a 6-digit fraction
+        # only the milliseconds are kept, so its last three places are
+        # checked here and not parsed.
+        if n == 27 or n == 32:
+            dropped = raw[23:26]
+            if not (dropped.isdigit() and dropped.isascii()):
+                return None
+            raw = raw[:23] + ("+00:00" if n == 27 else raw[26:])
+        elif raw[-1] == "Z":
+            raw = raw[:-1] + "+00:00"
         try:
-            # Python 3.10 reads a UTC offset but not Z.
-            ts = datetime.fromisoformat(raw[:-1] + "+00:00" if raw[-1] == "Z" else raw)
+            ts = datetime.fromisoformat(raw)
         except ValueError:
             return None
     else:

@@ -211,6 +211,19 @@ class ContrastRow:
     supports: tuple[int, ...]  # one per class, in sorted(results) order
 
 
+class _Relative(dict):
+    """One class's relative support by support. A class has at most
+    ``n_sequences + 1`` supports, so each is divided once."""
+
+    def __init__(self, n_sequences: int):
+        super().__init__()
+        self.n_sequences = n_sequences
+
+    def __missing__(self, support: int) -> float:
+        rel = self[support] = relative_support(support, self.n_sequences)
+        return rel
+
+
 def contrast_patterns(results: Mapping[str, MiningResult]) -> list[ContrastRow]:
     """Join per-class mining results on pattern, ranked by the largest
     cross-class relative-support gap. A class that lacks a pattern counts 0."""
@@ -223,10 +236,10 @@ def contrast_patterns(results: Mapping[str, MiningResult]) -> list[ContrastRow]:
                 counts = supports[pattern.symbols] = [0] * len(names)
             counts[i] = pattern.support
 
-    sizes = [results[name].n_sequences for name in names]
+    rel_of = [_Relative(results[name].n_sequences) for name in names]
     rows = []
     for symbols, counts in supports.items():
-        rels = [relative_support(support, n) for support, n in zip(counts, sizes)]
+        rels = list(map(_Relative.__getitem__, rel_of, counts))
         rows.append(ContrastRow(symbols, max(rels) - min(rels), tuple(counts)))
     rows.sort(key=lambda r: (-r.gap, len(r.symbols), r.symbols))
     return rows

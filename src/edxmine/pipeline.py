@@ -51,7 +51,7 @@ from .reports import (
     write_report,
 )
 from .sessions import DEFAULT_GAP
-from .store import STORE_NAME, log_checksums, read_store, write_store
+from .store import MAX_GAP, STORE_NAME, log_checksums, read_store, write_store
 
 
 @dataclass(frozen=True)
@@ -91,14 +91,18 @@ _COHORT_CHECKS: dict[str, FieldCheck] = {"pattern": ((str,), None), "term": ((st
 
 def checked_gap(minutes) -> timedelta:
     """The session gap of ``minutes``, which must be a number (not a bool)
-    whose time span is positive and representable, so finite. The run config
-    and the command line share this check. Raises ValueError."""
+    whose time span is positive and no longer than the state store holds,
+    so finite. The run config and the command line share this check. Raises
+    ValueError."""
     try:
         gap = timedelta(minutes=minutes)
     except (TypeError, OverflowError, ValueError):  # not a number, too large, infinite, NaN
         gap = None
-    if isinstance(minutes, bool) or gap is None or gap <= timedelta(0):
-        raise ValueError(f"gap_minutes must be a finite number greater than 0, got {minutes!r}")
+    if isinstance(minutes, bool) or gap is None or not timedelta(0) < gap <= MAX_GAP:
+        raise ValueError(
+            f"gap_minutes must be a number greater than 0 and at most "
+            f"{MAX_GAP // timedelta(minutes=1)} (2**63 - 1 microseconds), got {minutes!r}"
+        )
     return gap
 
 
@@ -321,10 +325,12 @@ def run_pipeline(
     )
 
     # Finalize has put every state in total order.
-    files = {"states": write_store(out_dir / STORE_NAME, logs, sorted(
-        (state for students in by_cohort.values() for state in students.values()),
-        key=lambda state: (state.course_id, state.user_id),
-    ))}
+    files = {"states": write_store(
+        out_dir / STORE_NAME, logs, run.passing_threshold, run.gap, sorted(
+            (state for students in by_cohort.values() for state in students.values()),
+            key=lambda state: (state.course_id, state.user_id),
+        ),
+    )}
 
     aggregates_path = out_dir / "aggregates.jsonl"
     with open(aggregates_path, "w", encoding="utf-8") as handle:
@@ -428,7 +434,7 @@ def resolve_min_support(spec: float, n_sequences: int) -> int:
 
 
 def run_mining(
-    run: RunManifest,
+    run: Optional[RunManifest],
     log_paths: Sequence[Union[str, Path]],
     out_dir: Union[str, Path],
     class_names: Optional[Sequence[str]] = None,
@@ -441,8 +447,11 @@ def run_mining(
     """Per-class pattern tables plus the cross-class contrast table, written
     to ``out_dir``, whose ``classifications.csv`` and state store (as
     :func:`run_pipeline` writes them) give each student's class and events.
-    ``log_paths`` are not parsed: they must be the logs the store was read
-    from, by size and CRC-32, in any order."""
+    The sequences are built with the passing threshold and session gap the
+    store holds, the ones ``pipeline`` ran with. ``log_paths`` and ``run``
+    identify that run and are not otherwise read: the logs must be the ones
+    the store was read from, by size and CRC-32, in any order, and ``run``,
+    when given, must hold the stored threshold and gap."""
     if class_names:
         unknown = [n for n in class_names if n not in CLASS_NAMES]
         if unknown:
@@ -457,9 +466,15 @@ def run_mining(
     student_classes = read_classifications(out_dir / "classifications.csv")
     logs = log_checksums(_log_paths(log_paths))
     store = out_dir / STORE_NAME
-    stored_logs, students = read_store(store)
+    stored_logs, passing_threshold, gap, students = read_store(store)
     if sorted(logs) != sorted(stored_logs):
         raise InputError(f"{store}: the logs given are not the ones pipeline read into it")
+    if run is not None and (run.passing_threshold, run.gap) != (passing_threshold, gap):
+        raise InputError(
+            f"{store}: pipeline ran with passing_threshold {passing_threshold} and gap_minutes "
+            f"{gap.total_seconds() / 60}, the run config gives {run.passing_threshold} and "
+            f"{run.gap.total_seconds() / 60}"
+        )
     students_by_class: dict[str, dict[StudentKey, StudentEvents]] = {
         name: {} for name in selected
     }
@@ -480,8 +495,8 @@ def run_mining(
             students_by_class.pop(name),
             granularity=granularity,
             split_check_outcome=split_check_outcome,
-            passing_threshold=run.passing_threshold,
-            gap=run.gap,
+            passing_threshold=passing_threshold,
+            gap=gap,
             collapse_runs=collapse_runs,
         )
 

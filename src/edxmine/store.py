@@ -3,12 +3,14 @@ for ``mine``.
 
 ``pipeline`` writes one store file, ``states.bin``, into its output
 directory, and ``mine`` reads its states back instead of parsing the logs
-again. The store also holds the size and CRC-32 of every log ``pipeline``
-read, so ``mine`` can check that it was given the same logs. Every number is
-little-endian:
+again. The store also holds the passing threshold and the session gap
+``pipeline`` ran with, which ``mine`` mines under, and the size and CRC-32
+of every log ``pipeline`` read, so ``mine`` can check that it was given the
+same logs. Every number is little-endian:
 
-- a header: the magic ``EDXSTATE``, the format version (u32) and the number
-  of logs (u32);
+- a header: the magic ``EDXSTATE`` and the format version (u32), then the
+  passing threshold (f64), the session gap in microseconds (i64) and the
+  number of logs (u32);
 - per log, in input order: its size in bytes (u64) and its CRC-32 (u32);
 - the number of students (u32), then one record per student, in (course,
   user) order, each state in total order:
@@ -28,6 +30,7 @@ import sys
 import struct
 import zlib
 from array import array
+from datetime import timedelta
 from itertools import accumulate, chain
 from pathlib import Path
 from typing import Callable, Sequence, Union
@@ -37,10 +40,15 @@ from .events import RETAINED_EVENT_TYPES
 from .manifest import InputError
 
 STORE_NAME = "states.bin"
-VERSION = 1
+VERSION = 2
 
 _MAGIC = b"EDXSTATE"
-_HEAD = struct.Struct("<8sII")  # magic, version, log count
+_HEAD = struct.Struct("<8sI")  # magic, version
+_RUN = struct.Struct("<dqI")  # passing threshold, gap in microseconds, log count
+_MICROSECOND = timedelta(microseconds=1)
+#: The longest session gap the store's signed 64-bit microseconds hold,
+#: about 292,000 years.
+MAX_GAP = timedelta(microseconds=2**63 - 1)
 _LOG = struct.Struct("<QI")  # size, CRC-32
 _U32 = struct.Struct("<I")
 _RECORD = struct.Struct("<III")  # rows, strings, text bytes
@@ -102,15 +110,18 @@ def _record(state: StudentEvents) -> bytes:
 
 
 def write_store(
-    path: Union[str, Path], logs: Sequence[Checksum], states: Sequence[StudentEvents]
+    path: Union[str, Path], logs: Sequence[Checksum], passing_threshold: float, gap: timedelta,
+    states: Sequence[StudentEvents],
 ) -> Path:
-    """Write ``states``, already in total order, and the checksums of the
-    logs they were read from, to ``path``; the states go in the order given."""
+    """Write ``states``, already in total order, the checksums of the logs
+    they were read from, and the passing threshold and session gap they were
+    classified under, to ``path``; the states go in the order given."""
     path = Path(path)
     crc = 0
     with open(path, "wb") as handle:
-        head = [_HEAD.pack(_MAGIC, VERSION, len(logs)), *(_LOG.pack(*log) for log in logs),
-                _U32.pack(len(states))]
+        head = [_HEAD.pack(_MAGIC, VERSION),
+                _RUN.pack(passing_threshold, gap // _MICROSECOND, len(logs)),
+                *(_LOG.pack(*log) for log in logs), _U32.pack(len(states))]
         for part in chain(head, map(_record, states)):
             handle.write(part)
             crc = zlib.crc32(part, crc)
@@ -149,10 +160,13 @@ def _state(take: Callable[[int], bytes], memo: dict[str, str]) -> StudentEvents:
     )
 
 
-def read_store(path: Union[str, Path]) -> tuple[list[Checksum], list[StudentEvents]]:
-    """The log checksums and the states of a store :func:`write_store` wrote.
-    A missing store, or one that is truncated, altered or of another format
-    version, is an input error naming it."""
+def read_store(
+    path: Union[str, Path],
+) -> tuple[list[Checksum], float, timedelta, list[StudentEvents]]:
+    """The log checksums, passing threshold, session gap and states of a
+    store :func:`write_store` wrote. A missing store, or one that is
+    truncated, altered or of another format version, is an input error
+    naming it."""
     path = Path(path)
     try:
         handle = open(path, "rb")
@@ -172,7 +186,7 @@ def read_store(path: Union[str, Path]) -> tuple[list[Checksum], list[StudentEven
             return data
 
         try:
-            magic, version, n_logs = _HEAD.unpack(take(_HEAD.size))
+            magic, version = _HEAD.unpack(take(_HEAD.size))
             if magic != _MAGIC:
                 raise InputError(f"{path}: not a state store")
             if version != VERSION:
@@ -180,6 +194,9 @@ def read_store(path: Union[str, Path]) -> tuple[list[Checksum], list[StudentEven
                     f"{path}: state store of format version {version}; this edxmine reads "
                     f"version {VERSION}, so run pipeline again"
                 )
+            passing_threshold, gap, n_logs = _RUN.unpack(take(_RUN.size))
+            if not (0 < passing_threshold <= 1 and gap > 0):
+                raise ValueError("a passing threshold or session gap out of range")
             logs = list(_LOG.iter_unpack(take(_LOG.size * n_logs)))
             (n_students,) = _U32.unpack(take(_U32.size))
             memo: dict[str, str] = {}
@@ -190,4 +207,4 @@ def read_store(path: Union[str, Path]) -> tuple[list[Checksum], list[StudentEven
             raise InputError(f"{path}: damaged state store (a string index out of range)") from None
         except ValueError as exc:  # includes UnicodeDecodeError
             raise InputError(f"{path}: damaged state store ({exc})") from None
-    return logs, states
+    return logs, passing_threshold, gap * _MICROSECOND, states

@@ -67,7 +67,8 @@ class EventSource(enum.Enum):
 
 
 # ``YYYY-MM-DD``, then optionally any one character, ``HH[:MM[:SS[.fraction]]]``
-# and an offset: ``Z``, ``±HH:MM[:SS[.ffffff]]`` or none (UTC).
+# and an offset: ``Z``, ``±HH:MM[:SS[.ffffff]]`` with minutes and seconds
+# below 60, or none (UTC).
 _TIMESTAMP = re.compile(
     r"""
     (?P<date> [0-9]{4}-[0-9]{2}-[0-9]{2} )
@@ -77,7 +78,7 @@ _TIMESTAMP = re.compile(
         (?: : (?P<minute> [0-9]{2} )
             (?: : (?P<second> [0-9]{2} ) (?: \. (?P<fraction> [0-9]+ ) )? )?
         )?
-        (?P<offset> Z | [+-] [0-9]{2} : [0-9]{2} (?: : [0-9]{2} (?: \. [0-9]{6} )? )? )?
+        (?P<offset> Z | [+-] [0-9]{2} : [0-5][0-9] (?: : [0-5][0-9] (?: \. [0-9]{6} )? )? )?
     )?
     """,
     re.VERBOSE | re.DOTALL,

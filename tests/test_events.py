@@ -363,6 +363,7 @@ TIMESTAMPS = [
     ("2021-08-23T10:22:42+02:00:30", "2021-08-23T08:22:12"),
     ("2021-08-23T10:22:42+02:00:00.500000", "2021-08-23T08:22:41.500000"),
     ("2021-08-23T10:22:42-00:00", "2021-08-23T10:22:42"),
+    ("2021-08-23T10:22:42+23:59", "2021-08-22T10:23:42"),
     ("0001-01-01T00:00:00-00:01", "0001-01-01T00:01:00"),
     ("9999-12-31T23:59:59.999Z", "9999-12-31T23:59:59.999000"),
     # Forms that Python 3.11 and later read, and 3.10 does not.
@@ -385,7 +386,15 @@ TIMESTAMPS = [
     ("2021-08-23T24:00:00.000Z", None),
     ("2021-02-29T10:22:42.000Z", None),
     ("2021-08-23T10:22:42.000+24:00", None),
+    ("2021-08-23T10:22:42+00:60", None),
+    ("2021-08-23T10:22:42+00:99", None),
+    ("2021-08-23T10:22:42-05:99", None),
+    ("2021-08-23T10:22:42+00:00:60", None),
+    ("2021-08-23T10:22:42.123+00:60", None),
+    ("2021-08-23T10:22:42.123456-05:99", None),
     ("0001-01-01T00:00:00.000+00:01", None),
+    ("2021-08-23T10:22:42.123a56Z", None),
+    ("2021-08-23T10:22:42.12345\u0663+00:00", None),
     ("2021-08-23T10:Z\x00:42.123Z", None),
     ("2021-08-23T10:22:Z\x00Z", None),
     ("2021-08-23T10:22:42z", None),

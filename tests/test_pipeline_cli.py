@@ -34,14 +34,14 @@ from edxmine.pipeline import (
 )
 from edxmine.reports import CohortId
 from edxmine.store import STORE_NAME
-from edxmine.synth import corpus_spec_to_dict, default_corpus_spec
+from edxmine.synth import corpus_spec_to_dict, default_corpus_spec, generate_corpus
 from conftest import bare_event, raw_line, tie_pairs, tied_lines
 
 
 def _store_body(store: bytes) -> bytes:
     """A state store's bytes after its log list and before its CRC."""
-    n_logs = int.from_bytes(store[12:16], "little")
-    return store[16 + 12 * n_logs:-4]
+    n_logs = int.from_bytes(store[28:32], "little")
+    return store[32 + 12 * n_logs:-4]
 
 
 class TestRunManifestLoading:
@@ -427,6 +427,40 @@ class TestMining:
             top = max(csv.DictReader(handle), key=lambda row: int(row["support"]))
         assert round(int(top["support"]) / float(top["relative_support"])) == len(instances)
 
+    def test_mine_splits_checks_at_the_threshold_pipeline_used(self, tmp_path):
+        corpus = generate_corpus(default_corpus_spec(users_per_class=5, seed=7))
+        log = tmp_path / "events.log"
+        log.write_text("".join(line + "\n" for line in corpus.lines))
+        out = tmp_path / "out"
+        assert main(["pipeline", str(log), "--out", str(out), "--passing-threshold", "0.95"]) == 0
+        assert main(["mine", str(log), "--out", str(out), "--split-check-outcome",
+                     "--max-len", "1", "--min-support", "1"]) == 0
+        with open(out / "patterns_box_checker.csv", newline="") as handle:
+            supports = {row["pattern"]: row["support"] for row in csv.DictReader(handle)}
+        # Split at the default 0.7 instead, check_pass would be 54 and
+        # check_fail absent.
+        assert (supports["check_pass"], supports["check_fail"]) == ("30", "54")
+
+    def test_mine_splits_sessions_at_the_gap_pipeline_used(self, tmp_path):
+        # No session ids, so the gap alone splits: 4 minutes, then 6.
+        lines = [
+            raw_line(name, session=None, time=f"2021-08-26T10:{minute:02d}:00.000Z", event=event)
+            for name, minute, event in (("play_video", 0, {"id": "v1", "currentTime": 0}),
+                                        ("play_video", 4, {"id": "v1", "currentTime": 9}),
+                                        ("problem_show", 10, {"problem_id": "p1"}))
+        ]
+        log = tmp_path / "events.log"
+        log.write_text("".join(line + "\n" for line in lines))
+        out = tmp_path / "out"
+        assert main(["pipeline", str(log), "--out", str(out), "--gap-minutes", "5"]) == 0
+        assert main(["mine", str(log), "--out", str(out), "--class", "no_show",
+                     "--max-len", "2", "--min-support", "1"]) == 0
+        with open(out / "patterns_no_show.csv", newline="") as handle:
+            rows = {row["pattern"]: row["relative_support"] for row in csv.DictReader(handle)}
+        # Two sessions; under the default 30 minutes there would be one, and
+        # play_video>problem_show a pattern.
+        assert rows == {"play_video": "0.5", "play_video>play_video": "0.5", "problem_show": "0.5"}
+
     def test_unknown_class_listed(self, small_corpus, tmp_path):
         run = load_run_manifest(small_corpus["run_config"])
         with pytest.raises(InputError, match="no_show"):
@@ -501,7 +535,7 @@ _GOLDEN_DIGESTS = {
         "out/run_meta.json": "37dbcc65be3e1d2a58d1d4830099dabc356c05944612927e56da9766fae6b66a",
         "out/score_comparison.csv": "5b3bcc21af2911102734922c5b39b278bc0df62937a18e6a328de46964506548",
         "out/scorer_distribution.csv": "b693a9fb4b8fbde53fda365bbe8ab5cac482d3d6deaac134a9f1028d617b7f8b",
-        "out/states.bin": "7413f583a76ce28fc88b3071f7675c448c88374c1a736f54e346d737098b4247",
+        "out/states.bin": "18ac68b6513f400854c10d535a650e9bcfe263df7afd74ad14d9757a0d690a38",
         "out/weekly.csv": "fe17a55614ebaf735f2929676fa486b9058185ad6b64592703a887cade62319c",
     },
     "empty": {
@@ -521,7 +555,7 @@ _GOLDEN_DIGESTS = {
         "out/run_meta.json": "e60a5af09f141c3d6e03f1c68a20f5c696bf52fbb1578f26a87e577596b08d13",
         "out/score_comparison.csv": "b747a0c2481334cbcaa163bd95fc9117f23b65008aa779be3aca2d6d08f24fa0",
         "out/scorer_distribution.csv": "b747a0c2481334cbcaa163bd95fc9117f23b65008aa779be3aca2d6d08f24fa0",
-        "out/states.bin": "04ce4654e74e646902d03187e235b0aa510f9ae4cdd3774dd20ed0c95aecbc80",
+        "out/states.bin": "8f1fe66dda31c0df0f06f418f57ace4ab9e7040fb28ae445879792351f6edaa0",
         "out/weekly.csv": "06e1d48085c26294f4b008cad2e25b6cefbecbc32ee9cfff57b42dfa883503ea",
     },
     "exclude-no-show": {
@@ -532,7 +566,7 @@ _GOLDEN_DIGESTS = {
         "out/run_meta.json": "4481b0f234216756b3e58db7149114475dcfd1b7d64e4dd7848e59d99ec32b71",
         "out/score_comparison.csv": "5b3bcc21af2911102734922c5b39b278bc0df62937a18e6a328de46964506548",
         "out/scorer_distribution.csv": "b693a9fb4b8fbde53fda365bbe8ab5cac482d3d6deaac134a9f1028d617b7f8b",
-        "out/states.bin": "7413f583a76ce28fc88b3071f7675c448c88374c1a736f54e346d737098b4247",
+        "out/states.bin": "18ac68b6513f400854c10d535a650e9bcfe263df7afd74ad14d9757a0d690a38",
         "out/weekly.csv": "fe17a55614ebaf735f2929676fa486b9058185ad6b64592703a887cade62319c",
     },
     "jsonl": {
@@ -543,7 +577,7 @@ _GOLDEN_DIGESTS = {
         "out/run_meta.json": "852c0eaf64fd206d07a4e517c3bfe940e945f632bf4688d48a8bfa6f2dcbf895",
         "out/score_comparison.jsonl": "d6402267c155e0a37c57202e7d1d0d5d8d02d5ad5a03824de7ee4f04de75f6fa",
         "out/scorer_distribution.jsonl": "17d60d7eed38c1302c72ac5a810475ed5584676ca25190ad20579fb4cfefecae",
-        "out/states.bin": "7413f583a76ce28fc88b3071f7675c448c88374c1a736f54e346d737098b4247",
+        "out/states.bin": "18ac68b6513f400854c10d535a650e9bcfe263df7afd74ad14d9757a0d690a38",
         "out/weekly.jsonl": "8ad9b1bf484939b61da66b9a80fb7de020154c96cc13d01219b8e0a44da6bbe5",
     },
     "ties": {
@@ -572,7 +606,7 @@ _GOLDEN_DIGESTS = {
         "out/run_meta.json": "a28de94d4c81697018c02863523bef4d9753c0719df6ca2fc86c978b644ec3fc",
         "out/score_comparison.csv": "5b3bcc21af2911102734922c5b39b278bc0df62937a18e6a328de46964506548",
         "out/scorer_distribution.csv": "b693a9fb4b8fbde53fda365bbe8ab5cac482d3d6deaac134a9f1028d617b7f8b",
-        "out/states.bin": "046ceaf25ae78b282a2489671712405d78111d104958aca4ad4b80bad25e3b8e",
+        "out/states.bin": "d04d53c2f569494ca99d38038ecb3c7539b7e6fc4f0578d660eedf803d6aa357",
         "out/weekly.csv": "855f54c53dd0d38f821404afdc1b6c4ee1bfecc084611896a08dde4e37dcc190",
     },
 }
@@ -705,6 +739,7 @@ class TestCli:
             "--gap-minutes=-5",
             "--gap-minutes=0",
             "--gap-minutes=1e-300",
+            "--gap-minutes=1.6e11",
             "--passing-threshold=5",
             "--passing-threshold=-1",
             "--passing-threshold=0",
@@ -734,7 +769,7 @@ class TestCli:
         assert exc.value.code == 1
         assert "--workers" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("gap", ["NaN", "1e308"])
+    @pytest.mark.parametrize("gap", ["NaN", "1e308", "1.6e11"])
     def test_pipeline_unusable_config_gap_exits_two(self, tmp_path, capsys, gap):
         log = tmp_path / "events.log"
         log.write_text(raw_line() + "\n")

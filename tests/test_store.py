@@ -1,20 +1,22 @@
 """The state store: ``pipeline`` writes the states it parsed, ``mine`` reads
-them back. The states read back equal the parsed ones, and a store or a log
-that does not match makes ``mine`` exit 2 with one line naming the store (or
-the missing log) and write nothing."""
+them back. The states, threshold and gap read back equal the stored ones,
+and a store, a log or a run config that does not match makes ``mine`` exit 2
+with one line naming the store (or the missing log) and write nothing."""
 
 from __future__ import annotations
 
+import json
 import random
 import shutil
 import struct
 import zlib
+from datetime import timedelta
 
 import pytest
 
 from edxmine.cli import main
 from edxmine.pipeline import parse_log_files
-from edxmine.store import STORE_NAME, VERSION, log_checksums, read_store, write_store
+from edxmine.store import MAX_GAP, STORE_NAME, VERSION, log_checksums, read_store, write_store
 from edxmine.synth import default_corpus_spec, generate_corpus
 from conftest import raw_line, tie_pairs
 
@@ -28,9 +30,11 @@ def _stored_states(tmp_path, lines):
     parsed = [students[key] for key in sorted(students, key=lambda k: (k[1], k[0]))]
     for state in parsed:
         state.sort()
-    store = write_store(tmp_path / STORE_NAME, log_checksums([log]), parsed)
-    logs, states = read_store(store)
-    assert logs == log_checksums([log])
+    # The smallest threshold and gap a store can hold.
+    threshold, gap = 5e-324, timedelta(microseconds=1)
+    store = write_store(tmp_path / STORE_NAME, log_checksums([log]), threshold, gap, parsed)
+    logs, passing_threshold, stored_gap, states = read_store(store)
+    assert (logs, passing_threshold, stored_gap) == (log_checksums([log]), threshold, gap)
     return parsed, states
 
 
@@ -93,8 +97,8 @@ def study(tmp_path_factory):
 def _record_ends(store: bytes) -> list[int]:
     """The offset where the header and log list end, then where each
     student's record ends."""
-    n_logs = int.from_bytes(store[12:16], "little")
-    at = 16 + 12 * n_logs + 4
+    n_logs = int.from_bytes(store[28:32], "little")
+    at = 32 + 12 * n_logs + 4
     ends = [at]
     for _ in range(int.from_bytes(store[at - 4:at], "little")):
         n, n_strings, text_bytes = struct.unpack_from("<III", store, at)
@@ -111,7 +115,7 @@ class _Mine:
         self.study, self.tmp_path, self.capsys = study, tmp_path, capsys
         self.runs = 0
 
-    def __call__(self, store, logs=None) -> str:
+    def __call__(self, store, logs=None, flags=()) -> str:
         """Exit 2 with one error line, nothing written; returns the line."""
         self.runs += 1
         out = self.tmp_path / f"out-{self.runs}"
@@ -121,7 +125,7 @@ class _Mine:
             (out / STORE_NAME).write_bytes(store)
         before = sorted(out.iterdir())
         logs = self.study["logs"] if logs is None else logs
-        assert main(["mine", *map(str, logs), "--out", str(out), "--max-len", "2"]) == 2
+        assert main(["mine", *map(str, logs), "--out", str(out), "--max-len", "2", *flags]) == 2
         captured = self.capsys.readouterr()
         err = captured.err.splitlines()
         assert captured.out == "" and len(err) == 1, captured
@@ -145,7 +149,8 @@ def test_mine_reads_the_intact_store(study, tmp_path, capsys):
 def test_truncated_store_exits_two(study, mine):
     store = study["store"]
     rng = random.Random(1801)
-    cuts = set(_record_ends(store)) | {0, 3, 8, 12, 16, len(store) - 4, len(store) - 1}
+    # The header's field boundaries: magic, version, threshold, gap, log count.
+    cuts = set(_record_ends(store)) | {0, 3, 8, 12, 16, 20, 28, 32, len(store) - 4, len(store) - 1}
     cuts |= {rng.randrange(len(store)) for _ in range(40)}
     for cut in sorted(cuts):
         line = mine(store[:cut])
@@ -155,8 +160,8 @@ def test_truncated_store_exits_two(study, mine):
 def test_flipped_byte_exits_two(study, mine):
     store = study["store"]
     rng = random.Random(1802)
-    # Every byte of the header, the log list and the first record's counts,
-    # then bytes anywhere.
+    # Every byte of the header (the threshold and gap among them), the log
+    # list and the first record's counts, then bytes anywhere.
     at = sorted(set(range(_record_ends(store)[0] + 12)) | set(rng.sample(range(len(store)), 150)))
     for i in at:
         damaged = bytearray(store)
@@ -174,6 +179,47 @@ def test_other_version_exits_two(study, mine):
     body[8:12] = (VERSION + 1).to_bytes(4, "little")
     line = mine(_with_crc(body))
     assert line.startswith("edxmine: error: <store>: ") and f"version {VERSION + 1}" in line
+
+
+def test_version_one_store_exits_two(study, mine):
+    # Version 1's header had no threshold or gap: magic, version, log count.
+    store = study["store"]
+    body = store[:8] + (1).to_bytes(4, "little") + store[28:-4]
+    line = mine(_with_crc(body))
+    assert line == (f"edxmine: error: <store>: state store of format version 1; this edxmine "
+                    f"reads version {VERSION}, so run pipeline again")
+
+
+@pytest.mark.parametrize("threshold, minutes", [(0.95, 5), (1.0, MAX_GAP // timedelta(minutes=1))])
+def test_pipeline_stores_its_threshold_and_gap(study, tmp_path, threshold, minutes):
+    out = tmp_path / "out"
+    assert main(["pipeline", *map(str, study["logs"]), "--out", str(out),
+                 "--passing-threshold", str(threshold), "--gap-minutes", str(minutes)]) == 0
+    logs, passing_threshold, gap, _ = read_store(out / STORE_NAME)
+    assert logs == log_checksums(study["logs"])
+    assert (passing_threshold, gap) == (threshold, timedelta(minutes=minutes))
+
+
+@pytest.mark.parametrize("config, given", [
+    ({"passing_threshold": 0.9}, "0.9 and 30.0"),
+    ({"gap_minutes": 5}, "0.7 and 5.0"),
+])
+def test_run_config_other_than_pipelines_exits_two(study, mine, tmp_path, config, given):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    line = mine(study["store"], flags=["--run-config", str(path)])
+    assert line == ("edxmine: error: <store>: pipeline ran with passing_threshold 0.7 and "
+                    f"gap_minutes 30.0, the run config gives {given}")
+
+
+@pytest.mark.parametrize("fmt, value", [("<d", 0.0), ("<d", 1.5), ("<d", float("nan")),
+                                        ("<q", 0), ("<q", -1)])
+def test_run_settings_out_of_range_under_a_valid_crc_exit_two(study, mine, fmt, value):
+    body = bytearray(study["store"][:-4])
+    struct.pack_into(fmt, body, 12 if fmt == "<d" else 20, value)
+    line = mine(_with_crc(body))
+    assert line == ("edxmine: error: <store>: damaged state store "
+                    "(a passing threshold or session gap out of range)")
 
 
 @pytest.mark.parametrize("column, value, reason", [
