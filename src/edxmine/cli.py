@@ -11,21 +11,10 @@ import math
 import sys
 import traceback
 from dataclasses import replace
-from typing import Callable, Optional
 
-from .engagement import DEFAULT_PASSING_THRESHOLD
 from .events import ParseStats
-from .manifest import InputError, load_manifest
-from .pipeline import (
-    RunManifest,
-    checked_gap,
-    checked_passing_threshold,
-    load_run_manifest,
-    run_mining,
-    run_pipeline,
-    validate_files,
-)
-from .sessions import DEFAULT_GAP
+from .manifest import InputError
+from .pipeline import RunManifest, load_run_manifest, run_mining, run_pipeline, validate_files
 from .store import STORE_NAME
 from .synth import generate_corpus, load_corpus_spec, write_corpus
 
@@ -53,6 +42,13 @@ def _max_len(text: str) -> int:
     return value
 
 
+def _class_names(text: str) -> list[str]:
+    names = [name.strip() for name in text.split(",") if name.strip()]
+    if not names:
+        raise argparse.ArgumentTypeError(f"names no class: {text!r}")
+    return names
+
+
 def _min_support(text: str) -> float:
     try:
         value = float(text)
@@ -61,23 +57,6 @@ def _min_support(text: str) -> float:
     if not math.isfinite(value) or value <= 0:
         raise argparse.ArgumentTypeError(f"must be finite and greater than 0, got {text}")
     return value
-
-
-def _number_then(check: Callable):
-    """An argparse type: the text as a float, then ``check`` on it, the same
-    check the run config applies."""
-
-    def convert(text: str):
-        try:
-            return check(float(text))
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc))
-
-    return convert
-
-
-_gap = _number_then(checked_gap)
-_threshold = _number_then(checked_passing_threshold)
 
 
 def _stats_line(label: str, stats: ParseStats) -> str:
@@ -95,12 +74,6 @@ def cmd_validate(args) -> int:
 
 def cmd_pipeline(args) -> int:
     run = load_run_manifest(args.run_config) if args.run_config else RunManifest()
-    if args.gap is not None:
-        run.gap = args.gap
-    if args.passing_threshold is not None:
-        run.passing_threshold = args.passing_threshold
-    if args.manifest:
-        run.manifest = load_manifest(args.manifest)
     result = run_pipeline(
         run,
         args.logs,
@@ -118,14 +91,11 @@ def cmd_pipeline(args) -> int:
 
 def cmd_mine(args) -> int:
     run = load_run_manifest(args.run_config) if args.run_config else None
-    class_names: Optional[list[str]] = None
-    if args.classes:
-        class_names = [c.strip() for c in args.classes.split(",") if c.strip()]
     files = run_mining(
         run,
         args.logs,
         args.out,
-        class_names=class_names,
+        class_names=args.classes,
         min_support=args.min_support,
         max_len=args.max_len,
         granularity="per_user" if args.per_user else "per_session",
@@ -163,15 +133,9 @@ def build_parser() -> argparse.ArgumentParser:
         "pipeline", help="aggregate, classify, and emit all report tables"
     )
     p_pipeline.add_argument("logs", nargs="+")
-    p_pipeline.add_argument("--run-config", help="run config JSON")
-    p_pipeline.add_argument("--manifest", help="course manifest JSON (overrides the run config's)")
+    p_pipeline.add_argument("--run-config", help="run config JSON: the manifest, cohorts, rules, "
+                                                 "passing threshold, session gap and anchors")
     p_pipeline.add_argument("--out", required=True, help="output directory")
-    p_pipeline.add_argument("--gap-minutes", dest="gap", type=_gap, default=None,
-                            help="session inactivity gap in minutes, > 0 "
-                                 f"(default {DEFAULT_GAP.total_seconds() / 60:g})")
-    p_pipeline.add_argument("--passing-threshold", type=_threshold, default=None,
-                            help="passing score ratio in (0, 1] "
-                                 f"(default {DEFAULT_PASSING_THRESHOLD})")
     p_pipeline.add_argument("--exclude-no-show", action="store_true",
                             help="add no-show-excluded proportions to the breakdown")
     p_pipeline.add_argument("--format", choices=["csv", "jsonl"], default="csv")
@@ -186,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mine.add_argument("--run-config",
                         help="run config JSON; its gap and threshold must be the ones "
                              "pipeline used, which mine reads from the store")
-    p_mine.add_argument("--class", dest="classes", default=None,
+    p_mine.add_argument("--class", dest="classes", type=_class_names, default=None,
                         help="comma-separated class names (default: all)")
     p_mine.add_argument("--min-support", type=_min_support, default=0.05,
                         help="absolute count, or fraction of sequences when < 1")

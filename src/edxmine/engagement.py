@@ -109,8 +109,14 @@ def union_intervals(spans: Iterable[tuple[float, float]]) -> list[tuple[float, f
     return merged
 
 
+def score_passes(score: Optional[float], passing_threshold: float) -> bool:
+    """Whether a score passes: it is present and at least the passing
+    threshold. ``score_r`` and the miner's pass/fail symbols both use it."""
+    return score is not None and score >= passing_threshold
+
+
 def _score_r_value(n_attempts: int, final_score: Optional[float], passing: float) -> int:
-    if final_score is None or final_score < passing:
+    if not score_passes(final_score, passing):
         return 4
     if n_attempts < 2:
         return 1

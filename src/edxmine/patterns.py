@@ -21,7 +21,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence, Union
 
-from .engagement import DEFAULT_PASSING_THRESHOLD, Students
+from .engagement import DEFAULT_PASSING_THRESHOLD, Students, score_passes
 from .events import EventType, RETAINED_EVENT_TYPES
 from .sessions import DEFAULT_GAP, group_into_sessions
 
@@ -95,8 +95,7 @@ def encode_sequences(
             for row in rows:
                 etype = types[row]
                 if etype == check:
-                    score = student.check_score(row)
-                    passed = score is not None and score >= passing_threshold
+                    passed = score_passes(student.check_score(row), passing_threshold)
                     code = codes[CHECK_PASS if passed else CHECK_FAIL]
                 else:
                     code = symbol_of_type[etype]

@@ -92,8 +92,7 @@ _COHORT_CHECKS: dict[str, FieldCheck] = {"pattern": ((str,), None), "term": ((st
 def checked_gap(minutes) -> timedelta:
     """The session gap of ``minutes``, which must be a number (not a bool)
     whose time span is positive and no longer than the state store holds,
-    so finite. The run config and the command line share this check. Raises
-    ValueError."""
+    so finite. This is the run config's check. Raises ValueError."""
     try:
         gap = timedelta(minutes=minutes)
     except (TypeError, OverflowError, ValueError):  # not a number, too large, infinite, NaN
@@ -108,8 +107,7 @@ def checked_gap(minutes) -> timedelta:
 
 def checked_passing_threshold(value) -> float:
     """``value`` as a passing score ratio: a number (not a bool) in (0, 1],
-    so not NaN. The run config and the command line share this check.
-    Raises ValueError."""
+    so not NaN. This is the run config's check. Raises ValueError."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value <= 1:
         raise ValueError(f"passing_threshold must be a number in (0, 1], got {value!r}")
     return float(value)
@@ -312,24 +310,23 @@ def run_pipeline(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    pairs_by_cohort: dict[CohortId, list[tuple[StudentAggregate, OrdinalClass]]] = {}
-    for cohort in sorted(by_cohort, key=lambda c: c.label):
-        students = by_cohort[cohort]
-        pairs = pairs_by_cohort[cohort] = []
-        for key in sorted(students, key=lambda k: (k[1], k[0])):
-            agg = students[key].finalize(run.manifest, run.passing_threshold)
-            pairs.append((agg, classify(agg, run.rules)))
-    rows = sorted(
-        ((c, agg, assigned) for c, pairs in pairs_by_cohort.items() for agg, assigned in pairs),
-        key=lambda r: (r[1].course_instance, r[1].user_id),
+    # Every student in one (course, user) order, which the rows and the store
+    # keep; the reports order the cohorts themselves.
+    members = sorted(
+        ((cohort, state) for cohort, students in by_cohort.items() for state in students.values()),
+        key=lambda member: (member[1].course_id, member[1].user_id),
     )
+    pairs_by_cohort: dict[CohortId, list[tuple[StudentAggregate, OrdinalClass]]] = {}
+    rows = []
+    for cohort, state in members:
+        agg = state.finalize(run.manifest, run.passing_threshold)
+        assigned = classify(agg, run.rules)
+        pairs_by_cohort.setdefault(cohort, []).append((agg, assigned))
+        rows.append((cohort, agg, assigned))
 
     # Finalize has put every state in total order.
     files = {"states": write_store(
-        out_dir / STORE_NAME, logs, run.passing_threshold, run.gap, sorted(
-            (state for students in by_cohort.values() for state in students.values()),
-            key=lambda state: (state.course_id, state.user_id),
-        ),
+        out_dir / STORE_NAME, logs, run.passing_threshold, run.gap, [state for _, state in members]
     )}
 
     aggregates_path = out_dir / "aggregates.jsonl"
@@ -377,7 +374,7 @@ def run_pipeline(
         "per_file_stats": {name: stats.as_dict() for name, stats in per_file},
         "unmatched_events": unmatched,
         "weekly_dropped_before_anchor": weekly_dropped,
-        "anchors": {c.label: d.isoformat() for c, d in sorted(anchors.items(), key=lambda x: x[0].label)},
+        "anchors": {c.label: d.isoformat() for c, d in anchors.items()},
         "config": {
             "passing_threshold": run.passing_threshold,
             "gap_minutes": run.gap.total_seconds() / 60,
@@ -484,8 +481,6 @@ def run_mining(
         if bucket is not None:
             bucket[key] = student
     del students
-
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     # Encode every class before mining any, so the students' states are
     # freed before the miner builds its bitsets.

@@ -35,7 +35,7 @@ from itertools import accumulate, chain
 from pathlib import Path
 from typing import Callable, Sequence, Union
 
-from .engagement import StudentEvents
+from .engagement import MICROSECOND, StudentEvents
 from .events import RETAINED_EVENT_TYPES
 from .manifest import InputError
 
@@ -45,7 +45,6 @@ VERSION = 2
 _MAGIC = b"EDXSTATE"
 _HEAD = struct.Struct("<8sI")  # magic, version
 _RUN = struct.Struct("<dqI")  # passing threshold, gap in microseconds, log count
-_MICROSECOND = timedelta(microseconds=1)
 #: The longest session gap the store's signed 64-bit microseconds hold,
 #: about 292,000 years.
 MAX_GAP = timedelta(microseconds=2**63 - 1)
@@ -120,7 +119,7 @@ def write_store(
     crc = 0
     with open(path, "wb") as handle:
         head = [_HEAD.pack(_MAGIC, VERSION),
-                _RUN.pack(passing_threshold, gap // _MICROSECOND, len(logs)),
+                _RUN.pack(passing_threshold, gap // MICROSECOND, len(logs)),
                 *(_LOG.pack(*log) for log in logs), _U32.pack(len(states))]
         for part in chain(head, map(_record, states)):
             handle.write(part)
@@ -207,4 +206,4 @@ def read_store(
             raise InputError(f"{path}: damaged state store (a string index out of range)") from None
         except ValueError as exc:  # includes UnicodeDecodeError
             raise InputError(f"{path}: damaged state store ({exc})") from None
-    return logs, passing_threshold, gap * _MICROSECOND, states
+    return logs, passing_threshold, gap * MICROSECOND, states

@@ -281,7 +281,6 @@ def _section_contents(manifest: CourseManifest) -> list[_SectionContent]:
 class _Visit:
     videos: list[str]
     problems: list[str]
-    problems_first: bool
 
 
 def _plan_visits(rng: random.Random, persona: PersonaSpec, sections: list[_SectionContent]) -> list[_Visit]:
@@ -306,7 +305,7 @@ def _plan_visits(rng: random.Random, persona: PersonaSpec, sections: list[_Secti
             pids = rng.sample(sec.problems, take_p)
             if take_v > 0 and take_p < len(sec.problems):
                 spare_problems.append([p for p in sec.problems if p not in pids])
-            visits.append(_Visit(videos=vids, problems=pids, problems_first=False))
+            visits.append(_Visit(videos=vids, problems=pids))
             v_need -= take_v
             p_need -= take_p
         # Late problem-only passes over sections already played.
@@ -314,9 +313,7 @@ def _plan_visits(rng: random.Random, persona: PersonaSpec, sections: list[_Secti
             if p_need == 0:
                 break
             take = min(len(remaining), p_need)
-            visits.append(
-                _Visit(videos=[], problems=rng.sample(remaining, take), problems_first=False)
-            )
+            visits.append(_Visit(videos=[], problems=rng.sample(remaining, take)))
             p_need -= take
     else:
         # Keep problem sections disjoint from video sections so no attempted
@@ -331,9 +328,7 @@ def _plan_visits(rng: random.Random, persona: PersonaSpec, sections: list[_Secti
             if not sec.problems:
                 continue
             take = min(len(sec.problems), p_need)
-            problem_visits.append(
-                _Visit(videos=[], problems=rng.sample(sec.problems, take), problems_first=True)
-            )
+            problem_visits.append(_Visit(videos=[], problems=rng.sample(sec.problems, take)))
             reserved_for_problems.add(idx)
             p_need -= take
         for idx in order:
@@ -345,9 +340,7 @@ def _plan_visits(rng: random.Random, persona: PersonaSpec, sections: list[_Secti
             if not sec.videos:
                 continue
             take = min(len(sec.videos), v_need)
-            video_visits.append(
-                _Visit(videos=rng.sample(sec.videos, take), problems=[], problems_first=False)
-            )
+            video_visits.append(_Visit(videos=rng.sample(sec.videos, take), problems=[]))
             v_need -= take
         visits = problem_visits + video_visits
         rng.shuffle(visits)
@@ -429,46 +422,36 @@ def _generate_user(
             )
             cursor += timedelta(seconds=rng.randint(20, 200))
 
-        def emit_problems() -> None:
-            for pid in visit.problems:
-                emit("problem_show", {"problem_id": pid})
-                n_att = rng.randint(a_lo, a_hi)
-                first = round(rng.uniform(f_lo, f_hi), 3)
-                for attempt in range(1, n_att + 1):
-                    if attempt == 1:
-                        grade = first
-                    elif attempt == n_att:
-                        grade = 1.0
-                    else:
-                        grade = round(rng.uniform(first, 1.0), 3)
-                    emit(
-                        "problem_check",
-                        {
-                            "problem_id": pid,
-                            "grade": grade,
-                            "max_grade": 1.0,
-                            "attempts": attempt,
-                            "success": grade >= 1.0,
-                        },
-                    )
-
-        def emit_videos() -> None:
-            for vid in visit.videos:
-                duration = round(rng.uniform(60.0, 600.0), 1)
-                watched = round(rng.uniform(w_lo, w_hi) * duration, 3)
-                emit("load_video", {"id": vid, "code": "hls", "duration": duration})
+        for vid in visit.videos:
+            duration = round(rng.uniform(60.0, 600.0), 1)
+            watched = round(rng.uniform(w_lo, w_hi) * duration, 3)
+            emit("load_video", {"id": vid, "code": "hls", "duration": duration})
+            emit(
+                "play_video",
+                {"id": vid, "code": "hls", "duration": duration, "currentTime": 0.0},
+            )
+            emit("pause_video", {"id": vid, "currentTime": watched, "duration": duration})
+        for pid in visit.problems:
+            emit("problem_show", {"problem_id": pid})
+            n_att = rng.randint(a_lo, a_hi)
+            first = round(rng.uniform(f_lo, f_hi), 3)
+            for attempt in range(1, n_att + 1):
+                if attempt == 1:
+                    grade = first
+                elif attempt == n_att:
+                    grade = 1.0
+                else:
+                    grade = round(rng.uniform(first, 1.0), 3)
                 emit(
-                    "play_video",
-                    {"id": vid, "code": "hls", "duration": duration, "currentTime": 0.0},
+                    "problem_check",
+                    {
+                        "problem_id": pid,
+                        "grade": grade,
+                        "max_grade": 1.0,
+                        "attempts": attempt,
+                        "success": grade >= 1.0,
+                    },
                 )
-                emit("pause_video", {"id": vid, "currentTime": watched, "duration": duration})
-
-        if visit.problems_first:
-            emit_problems()
-            emit_videos()
-        else:
-            emit_videos()
-            emit_problems()
         prev_end = cursor
     return lines
 

@@ -194,6 +194,23 @@ class TestEncodeSequences:
         )
         assert alphabet.render(sequences[0].symbols) == f"{CHECK_FAIL}>{CHECK_PASS}"
 
+    @pytest.mark.parametrize("grade, max_grade, score_r, symbol", [
+        (7, 10, 1, CHECK_PASS),  # exactly the threshold passes
+        (69, 100, 4, CHECK_FAIL),
+    ])
+    def test_check_outcome_and_score_r_share_the_pass_rule(
+        self, grade, max_grade, score_r, symbol
+    ):
+        students = collect_student_events(
+            [problem_event("problem_check", grade=grade, max_grade=max_grade)]
+        )
+        (state,) = students.values()
+        assert state.problem_record(range(len(state)), passing_threshold=0.7).score_r == score_r
+        sequences, alphabet = encode_sequences(
+            students, split_check_outcome=True, passing_threshold=0.7
+        )
+        assert alphabet.render(sequences[0].symbols) == symbol
+
     def test_alphabet_size_cap(self):
         assert len(build_alphabet(False).names) == 15
         assert len(build_alphabet(True).names) == 16

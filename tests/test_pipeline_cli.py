@@ -84,11 +84,15 @@ class TestRunManifestLoading:
             ("gap_minutes", "1e308"),
             ("gap_minutes", "true"),
             ("gap_minutes", "0"),
+            ("gap_minutes", "-5"),
             ("gap_minutes", "1e-300"),
+            ("gap_minutes", "1.6e11"),
             ("gap_minutes", '"30"'),
             ("passing_threshold", "true"),
             ("passing_threshold", "NaN"),
             ("passing_threshold", "1.5"),
+            ("passing_threshold", "-1"),
+            ("passing_threshold", "0"),
         ],
     )
     def test_bad_gap_or_threshold_rejected(self, tmp_path, key, value):
@@ -431,8 +435,10 @@ class TestMining:
         corpus = generate_corpus(default_corpus_spec(users_per_class=5, seed=7))
         log = tmp_path / "events.log"
         log.write_text("".join(line + "\n" for line in corpus.lines))
+        config = tmp_path / "run.json"
+        config.write_text('{"passing_threshold": 0.95}')
         out = tmp_path / "out"
-        assert main(["pipeline", str(log), "--out", str(out), "--passing-threshold", "0.95"]) == 0
+        assert main(["pipeline", str(log), "--run-config", str(config), "--out", str(out)]) == 0
         assert main(["mine", str(log), "--out", str(out), "--split-check-outcome",
                      "--max-len", "1", "--min-support", "1"]) == 0
         with open(out / "patterns_box_checker.csv", newline="") as handle:
@@ -451,8 +457,10 @@ class TestMining:
         ]
         log = tmp_path / "events.log"
         log.write_text("".join(line + "\n" for line in lines))
+        config = tmp_path / "run.json"
+        config.write_text('{"gap_minutes": 5}')
         out = tmp_path / "out"
-        assert main(["pipeline", str(log), "--out", str(out), "--gap-minutes", "5"]) == 0
+        assert main(["pipeline", str(log), "--run-config", str(config), "--out", str(out)]) == 0
         assert main(["mine", str(log), "--out", str(out), "--class", "no_show",
                      "--max-len", "2", "--min-support", "1"]) == 0
         with open(out / "patterns_no_show.csv", newline="") as handle:
@@ -715,6 +723,9 @@ class TestCli:
             "--min-support=-inf",
             "--min-support=-1",
             "--min-support=0",
+            "--class=,",
+            "--class=",
+            "--class= , ",
         ],
     )
     def test_mine_bad_arguments_exit_one(self, small_corpus, tmp_path, capsys, flag):
@@ -745,6 +756,10 @@ class TestCli:
             "--passing-threshold=0",
             "--passing-threshold=nan",
             "--workers=2",
+            # The run config alone sets a run's manifest, gap and threshold.
+            "--manifest=m.json",
+            "--gap-minutes=5",
+            "--passing-threshold=0.9",
         ],
     )
     def test_bad_gap_threshold_or_workers_exit_one(self, tmp_path, capsys, command, flag):
@@ -811,7 +826,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "command, flag, text",
         [
-            ("pipeline", "--manifest", "[" * 200_000),
+            ("pipeline", "manifest", "[" * 200_000),
             ("pipeline", "--run-config", "[" * 200_000),
             ("mine", "--run-config", "[" * 200_000),
             ("synth", "--spec", "[" * 200_000),
@@ -827,67 +842,26 @@ class TestCli:
         config.write_text(text)
         out = tmp_path / "out"
         argv = [command, flag, str(config), "--out", str(out)]
+        if flag == "manifest":  # named by a run config
+            run_config = tmp_path / "run.json"
+            run_config.write_text(json.dumps({"manifest": config.name}))
+            argv[1:3] = ["--run-config", str(run_config)]
         code = main(argv if command == "synth" else argv + [str(log)])
         assert code == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"edxmine: error: {config}: "), err
         assert not out.exists()
 
-    def test_gap_and_threshold_flags_override_config(self, small_corpus, tmp_path, capsys):
+    def test_run_config_gap_and_threshold_reach_run_meta(self, small_corpus, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text('{"gap_minutes": 45, "passing_threshold": 0.5}')
         out = tmp_path / "out"
-        code = main(
-            [
-                "pipeline", str(small_corpus["events"]),
-                "--run-config", str(small_corpus["run_config"]), "--out", str(out),
-                "--gap-minutes", "45", "--passing-threshold", "0.5",
-            ]
-        )
+        code = main(["pipeline", str(small_corpus["events"]),
+                     "--run-config", str(config), "--out", str(out)])
         assert code == 0
         config = json.loads((out / "run_meta.json").read_text())["config"]
         assert config["gap_minutes"] == 45.0
         assert config["passing_threshold"] == 0.5
-
-    def test_manifest_flag_runs_as_config_manifest(self, small_corpus, tmp_path):
-        """``pipeline --manifest M`` alone, and over a run config naming no
-        manifest or another one, writes what a run config naming M writes."""
-        logs = [str(small_corpus["events"])]
-        manifest = str(small_corpus["manifest"])
-        other = tmp_path / "other.json"
-        other.write_text(json.dumps({"course_id": "x", "submodules": []}))
-        configs = {}
-        for name, obj in (("named", {"manifest": manifest}), ("none", {}),
-                          ("other", {"manifest": str(other)})):
-            configs[name] = tmp_path / f"{name}.json"
-            configs[name].write_text(json.dumps(obj))
-        runs = {
-            "config": ["--run-config", str(configs["named"])],
-            "flag": ["--manifest", manifest],
-            "flag_over_none": ["--run-config", str(configs["none"]), "--manifest", manifest],
-            "flag_over_other": ["--run-config", str(configs["other"]), "--manifest", manifest],
-        }
-        outputs = {}
-        for name, args in runs.items():
-            out = tmp_path / name
-            assert main(["pipeline", *logs, *args, "--out", str(out)]) == 0
-            outputs[name] = [(out / f).read_bytes() for f in ("aggregates.jsonl", "classifications.csv")]
-        aggregates, classifications = outputs.pop("config")
-        assert b"order_fraction" in aggregates
-        assert b",studier" in classifications
-        for name, files in outputs.items():
-            assert files == [aggregates, classifications], name
-
-    def test_missing_manifest_flag_exits_two(self, small_corpus, tmp_path, capsys):
-        out = tmp_path / "out"
-        code = main(
-            [
-                "pipeline", str(small_corpus["events"]),
-                "--run-config", str(small_corpus["run_config"]), "--out", str(out),
-                "--manifest", str(tmp_path / "nonexistent.json"),
-            ]
-        )
-        assert code == 2
-        assert "nonexistent.json" in capsys.readouterr().err
-        assert not out.exists()
 
     def test_mine_has_no_manifest_flag(self, small_corpus, tmp_path, capsys):
         out = tmp_path / "out"
@@ -1257,7 +1231,9 @@ class TestInputErrors:
         manifest = tmp_path / "manifest.json"
         manifest.write_text(text)
         out = tmp_path / "out"
-        argv = ["pipeline", self._log(tmp_path), "--manifest", str(manifest), "--out", str(out)]
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"manifest": str(manifest)}))
+        argv = ["pipeline", self._log(tmp_path), "--run-config", str(config), "--out", str(out)]
         assert main(argv) == 2
         line = self._error_line(capsys)
         assert line.startswith(f"edxmine: error: {manifest}: ") and fragment in line, line

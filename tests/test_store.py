@@ -192,9 +192,11 @@ def test_version_one_store_exits_two(study, mine):
 
 @pytest.mark.parametrize("threshold, minutes", [(0.95, 5), (1.0, MAX_GAP // timedelta(minutes=1))])
 def test_pipeline_stores_its_threshold_and_gap(study, tmp_path, threshold, minutes):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"passing_threshold": threshold, "gap_minutes": minutes}))
     out = tmp_path / "out"
-    assert main(["pipeline", *map(str, study["logs"]), "--out", str(out),
-                 "--passing-threshold", str(threshold), "--gap-minutes", str(minutes)]) == 0
+    assert main(["pipeline", *map(str, study["logs"]), "--run-config", str(config),
+                 "--out", str(out)]) == 0
     logs, passing_threshold, gap, _ = read_store(out / STORE_NAME)
     assert logs == log_checksums(study["logs"])
     assert (passing_threshold, gap) == (threshold, timedelta(minutes=minutes))
